@@ -175,7 +175,7 @@ int Main(int argc, char** argv) {
     // on, repeat CRR jobs on one dataset finish in microseconds and the
     // queues never fill. Off, every job re-ranks — service time dominates
     // the client round trip and the DRR weights become visible.
-    scheduler_options.enable_rank_cache = false;
+    scheduler_options.rank_cache_byte_budget = 0;
     QosServer qos(g, scheduler_options, server_options);
 
     const auto window =

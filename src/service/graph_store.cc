@@ -2,28 +2,28 @@
 
 #include <utility>
 
-#include "common/stopwatch.h"
 #include "common/strings.h"
 
 namespace edgeshed::service {
 
-GraphStore::GraphStore(GraphStoreOptions options, MetricsRegistry* metrics,
-                       obs::Tracer* tracer)
-    : options_(options), tracer_(tracer) {
-  if (metrics != nullptr) {
-    instruments_.hit = metrics->GetCounter("store.hit");
-    instruments_.miss = metrics->GetCounter("store.miss");
-    instruments_.wait_hit = metrics->GetCounter("store.wait_hit");
-    instruments_.load_failure = metrics->GetCounter("store.load_failure");
-    instruments_.wait_failure = metrics->GetCounter("store.wait_failure");
-    instruments_.eviction = metrics->GetCounter("store.eviction");
-    instruments_.bytes_resident = metrics->GetGauge("store.bytes_resident");
-    instruments_.graphs_resident = metrics->GetGauge("store.graphs_resident");
-    instruments_.load_seconds = metrics->GetLatency("store.load_seconds");
-  }
+namespace {
+
+ByteLruInstruments StoreInstruments(obs::MetricsRegistry* metrics) {
+  ByteLruInstruments instruments;
+  if (metrics == nullptr) return instruments;
+  instruments.hit = metrics->GetCounter("store.hit");
+  instruments.miss = metrics->GetCounter("store.miss");
+  instruments.wait_hit = metrics->GetCounter("store.wait_hit");
+  instruments.failed = metrics->GetCounter("store.load_failure");
+  instruments.wait_failure = metrics->GetCounter("store.wait_failure");
+  instruments.evicted = metrics->GetCounter("store.eviction");
+  instruments.bytes = metrics->GetGauge("store.bytes_resident");
+  instruments.entries = metrics->GetGauge("store.graphs_resident");
+  instruments.compute_seconds = metrics->GetLatency("store.load_seconds");
+  return instruments;
 }
 
-Status GraphStore::Register(const std::string& name, Loader loader) {
+Status CheckLoader(const std::string& name, const GraphStore::Loader& loader) {
   if (name.empty()) {
     return Status::InvalidArgument("dataset name must be non-empty");
   }
@@ -31,6 +31,38 @@ Status GraphStore::Register(const std::string& name, Loader loader) {
     return Status::InvalidArgument(
         StrFormat("null loader for dataset '%s'", name.c_str()));
   }
+  return Status::OK();
+}
+
+/// Residency key of one dataset generation.
+std::string ResidentKey(const std::string& name, uint64_t generation) {
+  return StrFormat("%s|g%llu", name.c_str(),
+                   static_cast<unsigned long long>(generation));
+}
+
+}  // namespace
+
+GraphStore::GraphStore(GraphStoreOptions options,
+                       obs::MetricsRegistry* metrics, obs::Tracer* tracer)
+    : tracer_(tracer),
+      resident_(options.byte_budget,
+                [](const std::string&,
+                   const std::shared_ptr<const graph::Graph>& g) {
+                  return ApproxBytes(*g);
+                },
+                StoreInstruments(metrics)) {}
+
+void GraphStore::BumpGenerationLocked(const std::string& name, Entry& entry,
+                                      Loader loader) {
+  // Leases held by running jobs stay valid; a load of the old generation
+  // still in flight serves its callers but is not installed.
+  resident_.Erase(ResidentKey(name, entry.generation));
+  ++entry.generation;
+  entry.loader = std::move(loader);
+}
+
+Status GraphStore::Register(const std::string& name, Loader loader) {
+  EDGESHED_RETURN_IF_ERROR(CheckLoader(name, loader));
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = entries_.try_emplace(name);
   if (!inserted) {
@@ -42,26 +74,14 @@ Status GraphStore::Register(const std::string& name, Loader loader) {
 }
 
 Status GraphStore::Replace(const std::string& name, Loader loader) {
-  if (name.empty()) {
-    return Status::InvalidArgument("dataset name must be non-empty");
-  }
-  if (loader == nullptr) {
-    return Status::InvalidArgument(
-        StrFormat("null loader for dataset '%s'", name.c_str()));
-  }
+  EDGESHED_RETURN_IF_ERROR(CheckLoader(name, loader));
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = entries_.try_emplace(name);
-  Entry& entry = it->second;
-  entry.loader = std::move(loader);
-  if (inserted) return Status::OK();
-  ++entry.generation;
-  entry.dyn.reset();  // a replaced dataset starts a fresh dynamic history
-  if (entry.graph != nullptr) {
-    bytes_resident_ -= entry.bytes;
-    entry.bytes = 0;
-    entry.graph.reset();  // leases held by running jobs stay valid
-    lru_.erase(entry.lru_pos);
-    PublishGaugesLocked();
+  if (inserted) {
+    it->second.loader = std::move(loader);
+  } else {
+    it->second.dyn.reset();  // a replaced dataset starts a fresh history
+    BumpGenerationLocked(name, it->second, std::move(loader));
   }
   return Status::OK();
 }
@@ -79,98 +99,51 @@ void GraphStore::SetFallbackLoaderFactory(LoaderFactory factory) {
 
 StatusOr<std::shared_ptr<const graph::Graph>> GraphStore::Get(
     const std::string& name, uint64_t* generation) {
-  std::unique_lock<std::mutex> lock(mu_);
-  auto it = entries_.find(name);
-  if (it == entries_.end() && fallback_factory_ != nullptr &&
-      !name.empty()) {
-    // Unknown name: give the fallback factory one shot at minting a loader
-    // (shard snapshots appear after startup). Successful mints register the
-    // name permanently, so subsequent Gets take the ordinary path.
-    if (std::optional<Loader> minted = fallback_factory_(name);
-        minted.has_value() && *minted != nullptr) {
-      it = entries_.try_emplace(name).first;
-      it->second.loader = *std::move(minted);
-    }
-  }
-  if (it == entries_.end()) {
-    return Status::NotFound(
-        StrFormat("dataset '%s' is not registered", name.c_str()));
-  }
-  // `entries_` never erases nodes, so this reference stays valid across the
-  // unlocked load below.
-  Entry& entry = it->second;
-  bool waited = false;
-  while (entry.graph == nullptr && entry.loading) {
-    waited = true;
-    // Remember which load wave we are blocked on: if exactly that wave
-    // fails, its Status is shared with us below instead of each waiter
-    // serially re-running a loader that just failed (a retry stampede).
-    const uint64_t wave = entry.load_epoch;
-    load_done_.wait(lock);
-    if (entry.graph == nullptr && !entry.loading &&
-        entry.failed_epoch == wave) {
-      if (instruments_.wait_failure != nullptr) {
-        instruments_.wait_failure->Increment();
+  Loader loader;
+  uint64_t loading_generation = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = entries_.find(name);
+    if (it == entries_.end() && fallback_factory_ != nullptr &&
+        !name.empty()) {
+      // Unknown name: give the fallback factory one shot at minting a
+      // loader (shard snapshots appear after startup). Successful mints
+      // register the name permanently, so later Gets take the ordinary path.
+      if (std::optional<Loader> minted = fallback_factory_(name);
+          minted.has_value() && *minted != nullptr) {
+        it = entries_.try_emplace(name).first;
+        it->second.loader = *std::move(minted);
       }
-      return entry.last_failure;
+    }
+    if (it == entries_.end()) {
+      return Status::NotFound(
+          StrFormat("dataset '%s' is not registered", name.c_str()));
+    }
+    // Copied under the lock because Replace may swap it concurrently.
+    loader = it->second.loader;
+    loading_generation = it->second.generation;
+  }
+  const std::string key = ResidentKey(name, loading_generation);
+  auto graph = resident_.GetOrCompute(
+      key, [&]() -> StatusOr<std::shared_ptr<const graph::Graph>> {
+        obs::Span load_span = obs::Tracer::StartSpan(tracer_, "store.load");
+        load_span.Annotate("dataset", name);
+        StatusOr<graph::Graph> loaded = loader();
+        load_span.Annotate("ok", loaded.ok() ? "true" : "false");
+        if (!loaded.ok()) return loaded.status();
+        return std::make_shared<const graph::Graph>(std::move(loaded).value());
+      });
+  if (!graph.ok()) return graph.status();
+  {
+    // A Replace that landed between reading the generation and starting
+    // the load could not detach it: drop the stale install here.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (entries_.at(name).generation != loading_generation) {
+      resident_.Erase(key);
     }
   }
-  if (entry.graph != nullptr) {
-    lru_.splice(lru_.begin(), lru_, entry.lru_pos);
-    obs::Counter* counter = waited ? instruments_.wait_hit : instruments_.hit;
-    if (counter != nullptr) counter->Increment();
-    if (generation != nullptr) *generation = entry.generation;
-    return entry.graph;
-  }
-
-  // Miss: this thread loads, outside the lock. The loader is copied under
-  // the lock because Replace may swap it concurrently.
-  entry.loading = true;
-  const uint64_t epoch = ++entry.load_epoch;
-  const uint64_t loading_generation = entry.generation;
-  Loader loader = entry.loader;
-  lock.unlock();
-  obs::Span load_span = obs::Tracer::StartSpan(tracer_, "store.load");
-  load_span.Annotate("dataset", name);
-  Stopwatch watch;
-  StatusOr<graph::Graph> loaded = loader();
-  const double load_seconds = watch.ElapsedSeconds();
-  load_span.Annotate("ok", loaded.ok() ? "true" : "false");
-  load_span.End();
-  lock.lock();
-  entry.loading = false;
-  if (!loaded.ok()) {
-    entry.failed_epoch = epoch;
-    entry.last_failure = loaded.status();
-    load_done_.notify_all();
-    if (instruments_.load_failure != nullptr) {
-      instruments_.load_failure->Increment();
-    }
-    return loaded.status();
-  }
-  load_done_.notify_all();
-  if (entry.generation != loading_generation) {
-    // Replace landed mid-load: the graph we built belongs to the old
-    // generation. Hand it to this caller (labelled with the generation it
-    // came from) without installing it, so the next Get loads fresh data.
-    if (generation != nullptr) *generation = loading_generation;
-    if (instruments_.miss != nullptr) instruments_.miss->Increment();
-    return std::make_shared<const graph::Graph>(std::move(loaded).value());
-  }
-  entry.graph =
-      std::make_shared<const graph::Graph>(std::move(loaded).value());
-  entry.bytes = ApproxBytes(*entry.graph);
-  bytes_resident_ += entry.bytes;
-  lru_.push_front(name);
-  entry.lru_pos = lru_.begin();
-  if (instruments_.miss != nullptr) instruments_.miss->Increment();
-  if (instruments_.load_seconds != nullptr) {
-    instruments_.load_seconds->Record(load_seconds);
-  }
-  EvictLocked(name);
-  PublishGaugesLocked();
-  if (generation != nullptr) *generation = entry.generation;
-  return entry.graph;
+  if (generation != nullptr) *generation = loading_generation;
+  return graph;
 }
 
 StatusOr<std::shared_ptr<dyn::VersionedGraph>> GraphStore::DynGraph(
@@ -210,15 +183,8 @@ StatusOr<uint64_t> GraphStore::ApplyMutations(const std::string& name,
   std::lock_guard<std::mutex> lock(mu_);
   Entry& entry = entries_.at(name);
   if (entry.dyn == *dyn) {  // skip if Replace raced us: its state won
-    ++entry.generation;
-    entry.loader = [snap] { return snap->Materialize(); };
-    if (entry.graph != nullptr) {
-      bytes_resident_ -= entry.bytes;
-      entry.bytes = 0;
-      entry.graph.reset();  // leases held by running jobs stay valid
-      lru_.erase(entry.lru_pos);
-      PublishGaugesLocked();
-    }
+    BumpGenerationLocked(name, entry,
+                         [snap] { return snap->Materialize(); });
   }
   return *version;
 }
@@ -226,7 +192,8 @@ StatusOr<uint64_t> GraphStore::ApplyMutations(const std::string& name,
 bool GraphStore::IsResident(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(name);
-  return it != entries_.end() && it->second.graph != nullptr;
+  return it != entries_.end() &&
+         resident_.Contains(ResidentKey(name, it->second.generation));
 }
 
 std::vector<std::string> GraphStore::RegisteredNames() const {
@@ -237,49 +204,11 @@ std::vector<std::string> GraphStore::RegisteredNames() const {
   return names;
 }
 
-void GraphStore::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, entry] : entries_) {
-    entry.graph.reset();
-    entry.bytes = 0;
-  }
-  lru_.clear();
-  bytes_resident_ = 0;
-  PublishGaugesLocked();
-}
-
-uint64_t GraphStore::bytes_resident() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return bytes_resident_;
-}
-
 uint64_t GraphStore::ApproxBytes(const graph::Graph& g) {
   // Mapped graphs count only their heap footprint: the CSR lives in the
   // page cache, reclaimable under memory pressure, so charging it against
   // the resident-byte budget would evict datasets that cost near nothing.
   return g.HeapBytes();
-}
-
-void GraphStore::EvictLocked(const std::string& keep) {
-  while (bytes_resident_ > options_.byte_budget && !lru_.empty()) {
-    const std::string& victim = lru_.back();
-    if (victim == keep) break;  // `keep` is at the front unless it is alone
-    Entry& entry = entries_.at(victim);
-    bytes_resident_ -= entry.bytes;
-    entry.bytes = 0;
-    entry.graph.reset();  // leases held by running jobs keep the data alive
-    lru_.pop_back();
-    if (instruments_.eviction != nullptr) instruments_.eviction->Increment();
-  }
-}
-
-void GraphStore::PublishGaugesLocked() {
-  if (instruments_.bytes_resident != nullptr) {
-    instruments_.bytes_resident->Set(static_cast<int64_t>(bytes_resident_));
-  }
-  if (instruments_.graphs_resident != nullptr) {
-    instruments_.graphs_resident->Set(static_cast<int64_t>(lru_.size()));
-  }
 }
 
 }  // namespace edgeshed::service

@@ -1,10 +1,8 @@
 #ifndef EDGESHED_SERVICE_GRAPH_STORE_H_
 #define EDGESHED_SERVICE_GRAPH_STORE_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -12,12 +10,13 @@
 #include <string>
 #include <vector>
 
+#include "common/byte_lru.h"
 #include "common/statusor.h"
 #include "dyn/versioned_graph.h"
 #include "graph/graph.h"
 #include "graph/mutation_io.h"
+#include "obs/metrics.h"
 #include "obs/tracer.h"
-#include "service/metrics_registry.h"
 
 namespace edgeshed::service {
 
@@ -36,20 +35,22 @@ struct GraphStoreOptions {
 /// still hold it — the lease keeps the storage alive, the store merely
 /// forgets it and reloads on the next request.
 ///
-/// Concurrency contract:
-///  * `Get` for a resident name is a cheap map lookup under the store mutex.
-///  * A miss runs the registered loader *outside* the mutex, so distinct
+/// The store keeps the registry (loader, generation, dynamic handle);
+/// residency is the shared ByteLru (common/byte_lru.h) keyed by
+/// (name, generation):
+///  * `Get` for a resident name is a cheap map lookup.
+///  * A miss runs the registered loader outside every lock, so distinct
 ///    datasets load in parallel. Concurrent misses on the same name are
-///    coalesced: one thread loads, the rest block on a condition variable
-///    and share the result (counted as `store.wait_hit`). A *failed* load is
-///    shared the same way — every Get already blocked on that load wave gets
-///    the loader's failure Status (`store.wait_failure`) instead of serially
-///    re-running a loader that just failed. Gets arriving after the failure
-///    start a fresh wave, so transient failures still recover.
-///  * Eviction is LRU by last `Get`, triggered after each insert while
-///    resident bytes exceed `Options::byte_budget`. The entry just inserted
-///    is never evicted by its own insert, so a single over-budget graph
-///    still gets served (and is dropped by the *next* insert).
+///    coalesced into one load wave: one thread loads, the rest block and
+///    share the result (counted as `store.wait_hit`). A *failed* load is
+///    shared the same way — every Get blocked on that wave gets the loader's
+///    failure Status (`store.wait_failure`) instead of serially re-running a
+///    loader that just failed. Gets arriving after the failure start a fresh
+///    wave, so transient failures still recover.
+///  * Eviction is LRU by last `Get` while resident bytes exceed
+///    `Options::byte_budget` (0 = keep nothing resident). The graph just
+///    loaded is never evicted by its own insert, so a single over-budget
+///    graph still gets served (and is dropped by the *next* insert).
 ///
 /// Metrics (when a registry is supplied): `store.hit`, `store.miss`,
 /// `store.wait_hit`, `store.load_failure`, `store.wait_failure`,
@@ -70,7 +71,7 @@ class GraphStore {
   using Options = GraphStoreOptions;
 
   explicit GraphStore(GraphStoreOptions options = {},
-                      MetricsRegistry* metrics = nullptr,
+                      obs::MetricsRegistry* metrics = nullptr,
                       obs::Tracer* tracer = nullptr);
 
   GraphStore(const GraphStore&) = delete;
@@ -150,10 +151,10 @@ class GraphStore {
   std::vector<std::string> RegisteredNames() const;
 
   /// Drops every resident graph (registrations survive).
-  void Clear();
+  void Clear() { resident_.Clear(); }
 
-  uint64_t bytes_resident() const;
-  uint64_t byte_budget() const { return options_.byte_budget; }
+  uint64_t bytes_resident() const { return resident_.bytes(); }
+  uint64_t byte_budget() const { return resident_.byte_budget(); }
 
   /// Heap footprint charged against the budget: the owned CSR arrays, or a
   /// near-zero constant for mmap-backed graphs (their pages live in the
@@ -163,53 +164,25 @@ class GraphStore {
  private:
   struct Entry {
     Loader loader;
-    std::shared_ptr<const graph::Graph> graph;  // null when not resident
     /// Dynamic handle, created lazily by DynGraph/ApplyMutations and
     /// dropped by Replace (a replaced dataset starts a fresh history).
     std::shared_ptr<dyn::VersionedGraph> dyn;
     /// Dataset version; bumped by Replace so generation-keyed caches of
     /// derived data invalidate without coordination.
     uint64_t generation = 1;
-    uint64_t bytes = 0;
-    bool loading = false;  // a thread is running `loader` right now
-    /// Load-wave bookkeeping: `load_epoch` is bumped when a load starts;
-    /// `failed_epoch`/`last_failure` record the most recent failed wave so
-    /// waiters of exactly that wave share the failure instead of retrying.
-    uint64_t load_epoch = 0;
-    uint64_t failed_epoch = 0;
-    Status last_failure;
-    // Position in lru_ when resident; valid iff graph != nullptr.
-    std::list<std::string>::iterator lru_pos;
   };
 
-  /// Evicts LRU entries (never `keep`) until within budget. Caller holds mu_.
-  void EvictLocked(const std::string& keep);
-  void PublishGaugesLocked();
+  /// Swaps in `loader` as a new generation of `entry` and drops the old
+  /// generation's resident graph. Caller holds mu_.
+  void BumpGenerationLocked(const std::string& name, Entry& entry,
+                            Loader loader);
 
-  /// Typed instrument handles, resolved once at construction. All null when
-  /// no registry is attached.
-  struct Instruments {
-    obs::Counter* hit = nullptr;
-    obs::Counter* miss = nullptr;
-    obs::Counter* wait_hit = nullptr;
-    obs::Counter* load_failure = nullptr;
-    obs::Counter* wait_failure = nullptr;
-    obs::Counter* eviction = nullptr;
-    obs::Gauge* bytes_resident = nullptr;
-    obs::Gauge* graphs_resident = nullptr;
-    obs::LatencySeries* load_seconds = nullptr;
-  };
-
-  const GraphStoreOptions options_;
   obs::Tracer* const tracer_;  // may be null
-  Instruments instruments_;
 
-  mutable std::mutex mu_;
-  std::condition_variable load_done_;
+  mutable std::mutex mu_;  // guards the registry; never held across a load
   LoaderFactory fallback_factory_;  // may be null; guarded by mu_
   std::map<std::string, Entry> entries_;
-  std::list<std::string> lru_;  // front = most recent
-  uint64_t bytes_resident_ = 0;
+  ByteLru<std::shared_ptr<const graph::Graph>> resident_;
 };
 
 }  // namespace edgeshed::service

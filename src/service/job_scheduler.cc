@@ -1,9 +1,10 @@
 #include "service/job_scheduler.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
-#include "common/parallel_for.h"
+#include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "core/shedder_factory.h"
@@ -25,6 +26,37 @@ double SecondsBetween(Clock::time_point from, Clock::time_point to) {
 /// method would silently discard its incremental state.
 constexpr std::string_view kIncrementalMethod = "crr-inc";
 
+/// Materializes the kept subgraph G' of `parent` and snapshots it to `path`
+/// for out-of-band consumers (the shed-fleet coordinator reads per-shard
+/// kept subgraphs this way), recording `output_write_seconds` since `watch`
+/// started. The write is part of the job: a caller that asked for a snapshot
+/// must not see kDone without one on disk. v3 (mmap-ready), so the
+/// coordinator merging kept shards — and any later serve of the output —
+/// loads it zero-copy.
+Status WriteKeptSnapshot(const graph::Graph& parent, const std::string& path,
+                         const Stopwatch& watch, core::SheddingResult& result) {
+  EDGESHED_RETURN_IF_ERROR(graph::SaveBinaryGraph(
+      result.BuildReducedGraph(parent), path, graph::SnapshotOptions{}));
+  result.stats.emplace_back("output_write_seconds", watch.ElapsedSeconds());
+  return Status::OK();
+}
+
+ByteLruInstruments ResultCacheInstruments(obs::MetricsRegistry* metrics) {
+  ByteLruInstruments instruments;
+  if (metrics == nullptr) return instruments;
+  instruments.evicted = metrics->GetCounter("scheduler.result_cache_evicted");
+  instruments.bytes = metrics->GetGauge("scheduler.result_cache_bytes");
+  return instruments;
+}
+
+ByteLruInstruments DynSessionInstruments(obs::MetricsRegistry* metrics) {
+  ByteLruInstruments instruments;
+  if (metrics != nullptr) {
+    instruments.entries = metrics->GetGauge("scheduler.dyn_sessions");
+  }
+  return instruments;
+}
+
 }  // namespace
 
 std::string_view JobStateToString(JobState state) {
@@ -43,9 +75,33 @@ std::string_view JobStateToString(JobState state) {
   return "unknown";
 }
 
-JobScheduler::JobScheduler(GraphStore* store, MetricsRegistry* metrics,
+JobScheduler::JobScheduler(GraphStore* store, obs::MetricsRegistry* metrics,
                            JobSchedulerOptions options, obs::Tracer* tracer)
-    : store_(store), metrics_(metrics), tracer_(tracer), options_(options) {
+    : store_(store),
+      metrics_(metrics),
+      tracer_(tracer),
+      options_(options),
+      // Sessions cost one unit each, so the byte budget is a count cap.
+      dyn_sessions_(
+          kMaxDynSessions,
+          [](const std::string&, const std::shared_ptr<DynSession>&) {
+            return uint64_t{1};
+          },
+          DynSessionInstruments(metrics)),
+      result_cache_(
+          options.result_cache_byte_budget,
+          [](const std::string&, const CachedResult& cached) {
+            return ApproxResultBytes(*cached.result);
+          },
+          ResultCacheInstruments(metrics),
+          // Keeps the coarser-p index in lockstep with the cache. Runs
+          // under mu_: the cache is only written from FinishLocked.
+          [this](const std::string&, const CachedResult& cached) {
+            auto family = cache_families_.find(cached.family);
+            if (family == cache_families_.end()) return;
+            family->second.erase(cached.p);
+            if (family->second.empty()) cache_families_.erase(family);
+          }) {
   if (metrics_ != nullptr) {
     // Resolve every fixed-name instrument once; per-event updates through
     // these handles are lock-free and never touch the registry map again.
@@ -66,8 +122,6 @@ JobScheduler::JobScheduler(GraphStore* store, MetricsRegistry* metrics,
     instruments_.follower_promoted =
         metrics_->GetCounter("scheduler.follower_promoted");
     instruments_.jobs_gc = metrics_->GetCounter("scheduler.jobs_gc");
-    instruments_.result_cache_evicted =
-        metrics_->GetCounter("scheduler.result_cache_evicted");
     instruments_.degraded_tier =
         metrics_->GetCounter("scheduler.degraded_tier");
     instruments_.degraded_cached_p =
@@ -77,13 +131,11 @@ JobScheduler::JobScheduler(GraphStore* store, MetricsRegistry* metrics,
     instruments_.workers = metrics_->GetGauge("scheduler.workers");
     instruments_.queue_depth = metrics_->GetGauge("scheduler.queue_depth");
     instruments_.jobs_tracked = metrics_->GetGauge("scheduler.jobs_tracked");
-    instruments_.result_cache_bytes =
-        metrics_->GetGauge("scheduler.result_cache_bytes");
     instruments_.queue_seconds =
         metrics_->GetLatency("scheduler.queue_seconds");
     instruments_.run_seconds = metrics_->GetLatency("scheduler.run_seconds");
   }
-  if (options_.enable_rank_cache) {
+  if (options_.rank_cache_byte_budget > 0) {
     RankCacheOptions rank_options;
     rank_options.byte_budget = options_.rank_cache_byte_budget;
     rank_cache_ =
@@ -271,15 +323,21 @@ StatusOr<JobId> JobScheduler::Submit(const JobSpec& spec) {
   const uint64_t generation = store_->Generation(spec.dataset);
   // Degradation first: it may rewrite job.spec.method (and therefore the
   // dedup key) or hand back a cached coarser-p result to serve outright.
-  JobResult coarser = MaybeDegradeLocked(job, generation);
+  JobResult served = MaybeDegradeLocked(job, generation);
   job.cache_key = CacheKey(job.spec, generation);
   job.family_key = FamilyKey(job.spec, generation);
 
   if (tenant.submitted != nullptr) tenant.submitted->Increment();
 
-  if (coarser != nullptr) {
+  if (served == nullptr) {
+    if (std::optional<CachedResult> cached =
+            result_cache_.Lookup(job.cache_key)) {
+      served = cached->result;
+    }
+  }
+  if (served != nullptr) {
     job.state = JobState::kDone;
-    job.result = std::move(coarser);
+    job.result = std::move(served);
     job.deduplicated = true;
     if (instruments_.submitted != nullptr) {
       instruments_.submitted->Increment();
@@ -294,30 +352,6 @@ StatusOr<JobId> JobScheduler::Submit(const JobSpec& spec) {
     RecordTerminalLocked(it->second, now);
     GcRetainedJobsLocked(now);
     return id;
-  }
-
-  if (options_.enable_result_cache) {
-    auto cached = result_cache_.find(job.cache_key);
-    if (cached != result_cache_.end()) {
-      cache_lru_.splice(cache_lru_.begin(), cache_lru_,
-                        cached->second.lru_pos);
-      job.state = JobState::kDone;
-      job.result = cached->second.result;
-      job.deduplicated = true;
-      if (instruments_.submitted != nullptr) {
-        instruments_.submitted->Increment();
-        instruments_.result_cache_hit->Increment();
-        instruments_.jobs_done->Increment();
-      }
-      if (tenant.done != nullptr) tenant.done->Increment();
-      const JobId id = next_id_++;
-      job.id = id;
-      auto [it, inserted] = jobs_.emplace(id, std::move(job));
-      EmitJobTraceLocked(it->second, JobState::kDone, it->second.result);
-      RecordTerminalLocked(it->second, now);
-      GcRetainedJobsLocked(now);
-      return id;
-    }
   }
 
   auto inflight = inflight_.find(job.cache_key);
@@ -396,34 +430,28 @@ JobResult JobScheduler::MaybeDegradeLocked(Job& job, uint64_t generation) {
   }
   if (steps == 0) return nullptr;
 
-  if (options_.enable_result_cache) {
-    // A cached exact answer for the requested spec beats any degradation —
-    // let the normal cache-hit path serve it.
-    if (result_cache_.count(CacheKey(job.spec, generation)) > 0) {
-      return nullptr;
-    }
-    if (policy.serve_cached_coarser_p) {
-      // Next best: an already-computed result for the *requested* method at
-      // a coarser p' < p (within the policy gap). Costs nothing and keeps
-      // the method the caller asked for.
-      auto family = cache_families_.find(FamilyKey(job.spec, generation));
-      if (family != cache_families_.end() && !family->second.empty()) {
-        auto candidate = family->second.lower_bound(job.spec.p);
-        if (candidate != family->second.begin()) {
-          --candidate;  // largest cached p' strictly below the requested p
-          if (job.spec.p - candidate->first <= policy.max_p_gap) {
-            auto entry = result_cache_.find(candidate->second);
-            if (entry != result_cache_.end()) {
-              cache_lru_.splice(cache_lru_.begin(), cache_lru_,
-                                entry->second.lru_pos);
-              job.applied_p = candidate->first;
-              job.degrade_kind =
-                  static_cast<uint8_t>(DegradeKind::kCachedCoarserP);
-              if (instruments_.degraded_cached_p != nullptr) {
-                instruments_.degraded_cached_p->Increment();
-              }
-              return entry->second.result;
+  // A cached exact answer for the requested spec beats any degradation —
+  // let the normal cache-hit path serve it.
+  if (result_cache_.Contains(CacheKey(job.spec, generation))) return nullptr;
+  if (policy.serve_cached_coarser_p) {
+    // Next best: an already-computed result for the *requested* method at a
+    // coarser p' < p (within the policy gap). Costs nothing and keeps the
+    // method the caller asked for.
+    auto family = cache_families_.find(FamilyKey(job.spec, generation));
+    if (family != cache_families_.end()) {
+      auto candidate = family->second.lower_bound(job.spec.p);
+      if (candidate != family->second.begin()) {
+        --candidate;  // largest cached p' strictly below the requested p
+        if (job.spec.p - candidate->first <= policy.max_p_gap) {
+          if (std::optional<CachedResult> entry =
+                  result_cache_.Lookup(candidate->second)) {
+            job.applied_p = candidate->first;
+            job.degrade_kind =
+                static_cast<uint8_t>(DegradeKind::kCachedCoarserP);
+            if (instruments_.degraded_cached_p != nullptr) {
+              instruments_.degraded_cached_p->Increment();
             }
+            return entry->result;
           }
         }
       }
@@ -618,7 +646,7 @@ void JobScheduler::WorkerLoop() {
       tracer_->Record(std::move(queued));
     }
     lock.unlock();
-    double run_seconds = 0.0;
+    const Stopwatch run_watch;
     uint64_t run_span_id = 0;
     int64_t run_start_ns = 0;
     StatusOr<core::SheddingResult> outcome =
@@ -634,7 +662,7 @@ void JobScheduler::WorkerLoop() {
       run_span.Annotate("p", StrFormat("%g", spec.p));
       run_span_id = run_span.span_id();
       run_start_ns = tracer_ != nullptr ? tracer_->NowNs() : 0;
-      outcome = Execute(spec, token.get(), &run_seconds);
+      outcome = Execute(spec, token.get());
       run_span.Annotate("ok", outcome.ok() ? "true" : "false");
     }
     lock.lock();
@@ -645,7 +673,7 @@ void JobScheduler::WorkerLoop() {
       // this tenant's queued work even though no new job arrived.
       work_available_.notify_one();
     }
-    job.run_seconds = run_seconds;
+    job.run_seconds = run_watch.ElapsedSeconds();
     job.run_span_id = run_span_id;
     job.run_start_ns = run_start_ns;
     job.token.reset();
@@ -680,29 +708,16 @@ void JobScheduler::WorkerLoop() {
 }
 
 StatusOr<core::SheddingResult> JobScheduler::Execute(
-    const JobSpec& spec, const CancellationToken* cancel,
-    double* run_seconds) {
-  if (spec.method == kIncrementalMethod) {
-    return ExecuteIncremental(spec, run_seconds);
-  }
-  Stopwatch watch;
+    const JobSpec& spec, const CancellationToken* cancel) {
+  if (spec.method == kIncrementalMethod) return ExecuteIncremental(spec);
   // The graph load itself is not interruptible (it may be shared with other
   // jobs via the store); check before and after instead.
-  if (CancellationRequested(cancel)) {
-    *run_seconds = watch.ElapsedSeconds();
-    return cancel->ToStatus();
-  }
+  if (CancellationRequested(cancel)) return cancel->ToStatus();
   uint64_t generation = 0;
   auto graph = store_->Get(spec.dataset, &generation);
-  if (!graph.ok()) {
-    *run_seconds = watch.ElapsedSeconds();
-    return graph.status();
-  }
+  if (!graph.ok()) return graph.status();
   auto shedder = core::MakeShedderByName(spec.method, spec.seed);
-  if (!shedder.ok()) {
-    *run_seconds = watch.ElapsedSeconds();
-    return shedder.status();
-  }
+  if (!shedder.ok()) return shedder.status();
   core::ShedOptions shed_options;
   shed_options.p = spec.p;
   shed_options.cancel = cancel;
@@ -724,48 +739,33 @@ StatusOr<core::SheddingResult> JobScheduler::Execute(
   StatusOr<core::SheddingResult> result =
       (*shedder)->Shed(**graph, shed_options);
   if (result.ok() && !spec.output_path.empty()) {
-    // Materialize G' and snapshot it for out-of-band consumers (the shed-
-    // fleet coordinator reads per-shard kept subgraphs this way). The write
-    // is part of the job: a caller that asked for a snapshot must not see
-    // kDone without one existing on disk.
-    Stopwatch write_watch;
-    graph::Graph reduced = result->BuildReducedGraph(**graph);
-    // v3 (mmap-ready) so the coordinator merging kept shards — and any
-    // later serve of the output — loads it zero-copy.
-    if (Status saved = graph::SaveBinaryGraph(reduced, spec.output_path,
-                                              graph::SnapshotOptions{});
-        !saved.ok()) {
-      *run_seconds = watch.ElapsedSeconds();
-      return saved;
-    }
-    result->stats.emplace_back("output_write_seconds",
-                               write_watch.ElapsedSeconds());
+    EDGESHED_RETURN_IF_ERROR(
+        WriteKeptSnapshot(**graph, spec.output_path, Stopwatch(), *result));
   }
-  *run_seconds = watch.ElapsedSeconds();
   return result;
 }
 
 StatusOr<core::SheddingResult> JobScheduler::ExecuteIncremental(
-    const JobSpec& spec, double* run_seconds) {
-  Stopwatch watch;
+    const JobSpec& spec) {
   auto dyn_graph = store_->DynGraph(spec.dataset);
-  if (!dyn_graph.ok()) {
-    *run_seconds = watch.ElapsedSeconds();
-    return dyn_graph.status();
-  }
-  std::shared_ptr<DynSession> slot;
-  {
-    std::lock_guard<std::mutex> lock(dyn_mu_);
-    std::shared_ptr<DynSession>& entry = dyn_sessions_[StrFormat(
-        "%s|p=%.17g|seed=%llu", spec.dataset.c_str(), spec.p,
-        static_cast<unsigned long long>(spec.seed))];
-    if (entry == nullptr || entry->graph != *dyn_graph) {
-      // First job for this key, or Replace swapped the dataset's dynamic
-      // graph out from under the old session: start fresh.
-      entry = std::make_shared<DynSession>();
-      entry->graph = *dyn_graph;
-    }
-    slot = entry;
+  if (!dyn_graph.ok()) return dyn_graph.status();
+  const std::string session_key =
+      StrFormat("%s|p=%.17g|seed=%llu", spec.dataset.c_str(), spec.p,
+                static_cast<unsigned long long>(spec.seed));
+  const auto fresh_session = [&dyn_graph] {
+    auto created = std::make_shared<DynSession>();
+    created->graph = *dyn_graph;
+    return created;
+  };
+  std::shared_ptr<DynSession> slot = *dyn_sessions_.GetOrCompute(
+      session_key, [&]() -> StatusOr<std::shared_ptr<DynSession>> {
+        return fresh_session();
+      });
+  if (slot->graph != *dyn_graph) {
+    // Replace swapped the dataset's dynamic graph out from under the old
+    // session: start fresh.
+    slot = fresh_session();
+    dyn_sessions_.Insert(session_key, slot);
   }
   std::lock_guard<std::mutex> session_lock(slot->mu);
   if (slot->session == nullptr) {
@@ -789,31 +789,25 @@ StatusOr<core::SheddingResult> JobScheduler::ExecuteIncremental(
     slot->session = std::make_unique<dyn::ShedSession>(slot->graph, options);
   }
   auto reshed = slot->session->Reshed();
-  if (!reshed.ok()) {
-    *run_seconds = watch.ElapsedSeconds();
-    return reshed.status();
-  }
+  if (!reshed.ok()) return reshed.status();
 
   // Map the kept pairs onto EdgeIds in the result version's canonical
   // order — both lists are sorted, so one merge pass suffices — making the
   // answer shape-identical to a from-scratch job on the materialized graph.
   core::SheddingResult result;
   result.kept_edges.reserve(reshed->kept.size());
-  {
-    size_t next = 0;
-    graph::EdgeId id = 0;
-    reshed->snapshot->ForEachLiveEdge([&](const graph::Edge& e) {
-      if (next < reshed->kept.size() && e == reshed->kept[next]) {
-        result.kept_edges.push_back(id);
-        ++next;
-      }
-      ++id;
-    });
-    if (next != reshed->kept.size()) {
-      *run_seconds = watch.ElapsedSeconds();
-      return Status::Internal(
-          "incremental re-shed kept an edge not in its own snapshot");
+  size_t next = 0;
+  graph::EdgeId id = 0;
+  reshed->snapshot->ForEachLiveEdge([&](const graph::Edge& e) {
+    if (next < reshed->kept.size() && e == reshed->kept[next]) {
+      result.kept_edges.push_back(id);
+      ++next;
     }
+    ++id;
+  });
+  if (next != reshed->kept.size()) {
+    return Status::Internal(
+        "incremental re-shed kept an edge not in its own snapshot");
   }
   result.total_delta = reshed->total_delta;
   result.average_delta = reshed->average_delta;
@@ -824,20 +818,12 @@ StatusOr<core::SheddingResult> JobScheduler::ExecuteIncremental(
   result.stats.emplace_back("dirty_vertices",
                             static_cast<double>(reshed->dirty_vertices));
   if (!spec.output_path.empty()) {
-    Stopwatch write_watch;
+    const Stopwatch write_watch;
     EDGESHED_ASSIGN_OR_RETURN(graph::Graph parent,
                               reshed->snapshot->Materialize());
-    graph::Graph reduced = result.BuildReducedGraph(parent);
-    if (Status saved = graph::SaveBinaryGraph(reduced, spec.output_path,
-                                              graph::SnapshotOptions{});
-        !saved.ok()) {
-      *run_seconds = watch.ElapsedSeconds();
-      return saved;
-    }
-    result.stats.emplace_back("output_write_seconds",
-                              write_watch.ElapsedSeconds());
+    EDGESHED_RETURN_IF_ERROR(
+        WriteKeptSnapshot(parent, spec.output_path, write_watch, result));
   }
-  *run_seconds = watch.ElapsedSeconds();
   return result;
 }
 
@@ -898,9 +884,11 @@ void JobScheduler::FinishLocked(Job& job, JobState state, Status status,
       inflight_.erase(inflight);
     }
   }
-  if (state == JobState::kDone && options_.enable_result_cache) {
-    InsertResultCacheLocked(job.cache_key, job.family_key, job.spec.p,
-                            result);
+  if (state == JobState::kDone) {
+    // Indexed first: an insert the budget drops unindexes itself.
+    cache_families_[job.family_key][job.spec.p] = job.cache_key;
+    result_cache_.Insert(job.cache_key,
+                         CachedResult{result, job.family_key, job.spec.p});
   }
   CountTerminalLocked(job, state);
   if (instruments_.queue_seconds != nullptr) {
@@ -1063,53 +1051,6 @@ uint64_t JobScheduler::ApproxResultBytes(const core::SheddingResult& result) {
     bytes += key.capacity() + sizeof(double) + 2 * sizeof(void*);
   }
   return bytes;
-}
-
-void JobScheduler::InsertResultCacheLocked(const std::string& key,
-                                           const std::string& family,
-                                           double p,
-                                           const JobResult& result) {
-  // Keeps the coarser-p family index (family key -> p -> full key) in
-  // lockstep with the cache map on replace, insert, and eviction.
-  const auto unindex = [this](const CacheEntry& entry,
-                              const std::string& full_key) {
-    auto fam = cache_families_.find(entry.family);
-    if (fam == cache_families_.end()) return;
-    auto at_p = fam->second.find(entry.p);
-    if (at_p != fam->second.end() && at_p->second == full_key) {
-      fam->second.erase(at_p);
-    }
-    if (fam->second.empty()) cache_families_.erase(fam);
-  };
-  auto existing = result_cache_.find(key);
-  if (existing != result_cache_.end()) {
-    cache_bytes_ -= existing->second.bytes;
-    cache_lru_.erase(existing->second.lru_pos);
-    unindex(existing->second, key);
-    result_cache_.erase(existing);
-  }
-  cache_lru_.push_front(key);
-  CacheEntry entry{result, ApproxResultBytes(*result), cache_lru_.begin(),
-                   family, p};
-  cache_bytes_ += entry.bytes;
-  result_cache_.emplace(key, std::move(entry));
-  cache_families_[family][p] = key;
-  // Evict least-recently-used entries past the budget — but never the entry
-  // just inserted, so an oversized single result still gets cached once.
-  while (cache_bytes_ > options_.result_cache_byte_budget &&
-         cache_lru_.size() > 1) {
-    auto victim = result_cache_.find(cache_lru_.back());
-    cache_bytes_ -= victim->second.bytes;
-    unindex(victim->second, victim->first);
-    result_cache_.erase(victim);
-    cache_lru_.pop_back();
-    if (instruments_.result_cache_evicted != nullptr) {
-      instruments_.result_cache_evicted->Increment();
-    }
-  }
-  if (instruments_.result_cache_bytes != nullptr) {
-    instruments_.result_cache_bytes->Set(static_cast<int64_t>(cache_bytes_));
-  }
 }
 
 void JobScheduler::PublishQueueDepthLocked() {

@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -15,13 +14,14 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/byte_lru.h"
 #include "common/cancellation.h"
 #include "common/statusor.h"
 #include "core/shedding.h"
 #include "dyn/incremental_shed.h"
+#include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "service/graph_store.h"
-#include "service/metrics_registry.h"
 #include "service/rank_cache.h"
 
 namespace edgeshed::service {
@@ -92,7 +92,6 @@ struct JobSchedulerOptions {
   std::map<std::string, TenantConfig> tenants;
   TenantConfig default_tenant;
   DegradePolicy degrade;
-  bool enable_result_cache = true;
   /// Retention bounds for terminal job records. A terminal job is garbage-
   /// collected once more than `max_retained_jobs` terminal records exist
   /// (oldest-finished first) or its age since finishing exceeds
@@ -102,12 +101,12 @@ struct JobSchedulerOptions {
   std::chrono::milliseconds job_retention{600000};  // 10 minutes
   /// Byte budget for the result cache (approximate accounting); least-
   /// recently-used entries are evicted once the budget is exceeded.
+  /// 0 = off.
   uint64_t result_cache_byte_budget = 64ull << 20;  // 64 MiB
-  /// Share Phase-1 betweenness rankings across jobs on the same dataset
-  /// (RankCache, DESIGN.md §12). Job results are unchanged either way; this
-  /// only removes redundant ranking passes.
-  bool enable_rank_cache = true;
-  /// Byte budget for the rank cache (|E| edge ids per cached ranking).
+  /// Byte budget for sharing Phase-1 betweenness rankings across jobs on
+  /// the same dataset (RankCache, DESIGN.md §12; |E| edge ids per cached
+  /// ranking). Job results are unchanged either way; the cache only removes
+  /// redundant ranking passes. 0 = off.
   uint64_t rank_cache_byte_budget = 128ull << 20;  // 128 MiB
 };
 
@@ -180,7 +179,7 @@ struct JobStatus {
 /// Fixed-pool asynchronous executor for shedding jobs.
 ///
 /// Architecture (DESIGN.md "Service layer" + §13):
-///  * `Options::workers` threads (default common/parallel_for.h's
+///  * `Options::workers` threads (default common/parallel.h's
 ///    DefaultThreadCount) pull JobIds from per-tenant weighted fair queues
 ///    (deficit round robin across tenants; a priority lane drained before
 ///    any normal-lane work; per-tenant running quotas). With no tenant
@@ -221,7 +220,7 @@ class JobScheduler {
   using Options = JobSchedulerOptions;
 
   /// `store` must outlive the scheduler; `metrics` and `tracer` may be null.
-  JobScheduler(GraphStore* store, MetricsRegistry* metrics,
+  JobScheduler(GraphStore* store, obs::MetricsRegistry* metrics,
                JobSchedulerOptions options = {},
                obs::Tracer* tracer = nullptr);
   ~JobScheduler();
@@ -256,7 +255,11 @@ class JobScheduler {
 
   int workers() const { return static_cast<int>(workers_.size()); }
 
-  /// The cross-job ranking cache; null when Options disabled it.
+  /// Live crr-inc sessions beyond which the least recently used is
+  /// dropped (each pins O(|E|) state; keys are client-chosen).
+  static constexpr size_t kMaxDynSessions = 16;
+
+  /// The cross-job ranking cache; null when its budget is 0.
   /// Introspection / test hook — jobs use it automatically.
   RankCache* rank_cache() { return rank_cache_.get(); }
 
@@ -317,13 +320,11 @@ class JobScheduler {
     int64_t run_start_ns = 0;
   };
 
-  /// Result-cache entry with approximate byte accounting for LRU eviction.
-  struct CacheEntry {
+  /// Result-cache value. Carries its membership in cache_families_ (for
+  /// coarser-p lookup) so eviction can unindex without re-deriving the
+  /// family from the key.
+  struct CachedResult {
     JobResult result;
-    uint64_t bytes = 0;
-    std::list<std::string>::iterator lru_pos;
-    /// Membership in cache_families_ (for coarser-p lookup), kept so
-    /// eviction can unindex without re-deriving the family from the key.
     std::string family;
     double p = 0.0;
   };
@@ -382,8 +383,7 @@ class JobScheduler {
   /// outcome. `job` fields other than `spec` must not be touched here.
   /// `cancel` (may be null) is polled by the kernels.
   StatusOr<core::SheddingResult> Execute(const JobSpec& spec,
-                                         const CancellationToken* cancel,
-                                         double* run_seconds);
+                                         const CancellationToken* cancel);
   /// Execute for the stateful incremental method "crr-inc": resolves (or
   /// creates) the (dataset, p, seed) ShedSession over the dataset's
   /// VersionedGraph and re-sheds against the current version. The kept set
@@ -392,8 +392,7 @@ class JobScheduler {
   /// answer with. Not cooperatively cancellable mid-run (re-sheds after
   /// small batches are far shorter than the cold run); a Cancel lands when
   /// the run finishes.
-  StatusOr<core::SheddingResult> ExecuteIncremental(const JobSpec& spec,
-                                                    double* run_seconds);
+  StatusOr<core::SheddingResult> ExecuteIncremental(const JobSpec& spec);
   /// Moves `job` to `state`, resolves followers and the result cache,
   /// updates metrics, wakes waiters. A cancelled primary promotes its first
   /// live follower to primary and re-queues it. Caller holds mu_.
@@ -405,12 +404,6 @@ class JobScheduler {
                             std::chrono::steady_clock::time_point now);
   /// Erases terminal records beyond the retention bounds. Caller holds mu_.
   void GcRetainedJobsLocked(std::chrono::steady_clock::time_point now);
-  /// Inserts into the LRU result cache (and the coarser-p family index)
-  /// and evicts past the byte budget (never the just-inserted entry).
-  /// Caller holds mu_.
-  void InsertResultCacheLocked(const std::string& key,
-                               const std::string& family, double p,
-                               const JobResult& result);
   void PublishQueueDepthLocked();
   void PublishTenantGaugesLocked(TenantQueue& tq);
   /// Bumps the per-terminal-state counter (global + tenant) for one
@@ -437,20 +430,18 @@ class JobScheduler {
     obs::Counter* cancelled_while_running = nullptr;
     obs::Counter* follower_promoted = nullptr;
     obs::Counter* jobs_gc = nullptr;
-    obs::Counter* result_cache_evicted = nullptr;
     obs::Counter* degraded_tier = nullptr;
     obs::Counter* degraded_cached_p = nullptr;
     obs::Counter* priority_boosted = nullptr;
     obs::Gauge* workers = nullptr;
     obs::Gauge* queue_depth = nullptr;
     obs::Gauge* jobs_tracked = nullptr;
-    obs::Gauge* result_cache_bytes = nullptr;
     obs::LatencySeries* queue_seconds = nullptr;
     obs::LatencySeries* run_seconds = nullptr;
   };
 
   GraphStore* const store_;
-  MetricsRegistry* const metrics_;  // may be null
+  obs::MetricsRegistry* const metrics_;  // may be null
   obs::Tracer* const tracer_;      // may be null
   Instruments instruments_;
   const JobSchedulerOptions options_;
@@ -459,19 +450,20 @@ class JobScheduler {
   std::unique_ptr<RankCache> rank_cache_;
 
   /// Incremental re-shed sessions for method "crr-inc", one per
-  /// (dataset, p, seed). Sessions are stateful and not thread-safe, so
-  /// each carries its own mutex — concurrent crr-inc jobs on the *same*
-  /// session serialize (the second answers the version the first left
-  /// behind or newer), while distinct sessions run in parallel. A session
-  /// is discarded when the store hands out a different VersionedGraph for
-  /// its dataset (Replace landed).
+  /// (dataset, p, seed), at most kMaxDynSessions of them (LRU; a job
+  /// keeps its session alive through its shared_ptr even if evicted).
+  /// Sessions are stateful and not thread-safe, so each carries its own
+  /// mutex — concurrent crr-inc jobs on the *same* session serialize (the
+  /// second answers the version the first left behind or newer), while
+  /// distinct sessions run in parallel. A session is discarded when the
+  /// store hands out a different VersionedGraph for its dataset (Replace
+  /// landed).
   struct DynSession {
     std::mutex mu;
     std::shared_ptr<dyn::VersionedGraph> graph;
     std::unique_ptr<dyn::ShedSession> session;
   };
-  std::mutex dyn_mu_;  // guards dyn_sessions_ (never held across Reshed)
-  std::map<std::string, std::shared_ptr<DynSession>> dyn_sessions_;
+  ByteLru<std::shared_ptr<DynSession>> dyn_sessions_;
 
   mutable std::mutex mu_;
   std::condition_variable work_available_;
@@ -484,12 +476,12 @@ class JobScheduler {
   size_t ring_pos_ = 0;
   size_t live_queued_ = 0;  // live queued jobs across all tenants/lanes
   std::unordered_map<std::string, JobId> inflight_;
-  std::unordered_map<std::string, CacheEntry> result_cache_;
-  std::list<std::string> cache_lru_;  // front = most recently used
   /// family key -> (p -> full cache key), the coarser-p degradation index
-  /// over result_cache_. Maintained by insert/evict.
+  /// over result_cache_. Indexed on insert, unindexed by its eviction
+  /// callback; both run under mu_.
   std::map<std::string, std::map<double, std::string>> cache_families_;
-  uint64_t cache_bytes_ = 0;
+  /// Results of finished jobs by dedup key; only touched under mu_.
+  ByteLru<CachedResult> result_cache_;
   /// Terminal jobs in finish order (front = oldest) — the GC scan order.
   std::deque<JobId> terminal_order_;
   JobId next_id_ = 1;

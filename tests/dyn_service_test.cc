@@ -12,11 +12,12 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "core/shedding.h"
 #include "dyn/versioned_graph.h"
 #include "graph/mutation_io.h"
+#include "obs/metrics.h"
 #include "service/graph_store.h"
 #include "service/job_scheduler.h"
-#include "service/metrics_registry.h"
 #include "testing/test_graphs.h"
 
 namespace edgeshed::service {
@@ -69,7 +70,7 @@ graph::Graph RandomGraph(graph::NodeId n, int extra_edges, uint64_t seed) {
 // GraphStore: versioned datasets
 
 TEST(GraphStoreDynTest, DynGraphIsSharedAndUnknownNameIsNotFound) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   RegisterGraph(store, "g", Path(6));
 
@@ -86,7 +87,7 @@ TEST(GraphStoreDynTest, DynGraphIsSharedAndUnknownNameIsNotFound) {
 }
 
 TEST(GraphStoreDynTest, ApplyMutationsBumpsGenerationAndServesMutatedGraph) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   RegisterGraph(store, "g", Path(6));  // edges {0,1}..{4,5}
 
@@ -112,7 +113,7 @@ TEST(GraphStoreDynTest, ApplyMutationsBumpsGenerationAndServesMutatedGraph) {
 }
 
 TEST(GraphStoreDynTest, InvalidBatchLeavesStoreUntouched) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   RegisterGraph(store, "g", Path(6));
 
@@ -137,7 +138,7 @@ TEST(GraphStoreDynTest, InvalidBatchLeavesStoreUntouched) {
 }
 
 TEST(GraphStoreDynTest, ReplaceStartsFreshDynamicHistory) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   RegisterGraph(store, "g", Path(6));
 
@@ -166,7 +167,7 @@ TEST(GraphStoreDynTest, ReplaceStartsFreshDynamicHistory) {
 // JobScheduler: "crr-inc" sessions
 
 TEST(JobSchedulerDynTest, CrrIncColdMatchesCrrBitIdentically) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   RegisterGraph(store, "g", RandomGraph(80, 160, 9));
   JobScheduler scheduler(&store, &metrics, {.workers = 2});
@@ -188,7 +189,7 @@ TEST(JobSchedulerDynTest, CrrIncColdMatchesCrrBitIdentically) {
 }
 
 TEST(JobSchedulerDynTest, CrrIncReshedsIncrementallyAfterMutations) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   const graph::Graph base = RandomGraph(80, 160, 9);
   RegisterGraph(store, "g", base);
@@ -229,7 +230,7 @@ TEST(JobSchedulerDynTest, CrrIncReshedsIncrementallyAfterMutations) {
 }
 
 TEST(JobSchedulerDynTest, MutationInvalidatesResultCache) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   RegisterGraph(store, "g", RandomGraph(60, 120, 3));
   JobScheduler scheduler(&store, &metrics, {.workers = 2});
@@ -252,10 +253,61 @@ TEST(JobSchedulerDynTest, MutationInvalidatesResultCache) {
   EXPECT_FALSE(status->deduplicated);
 }
 
+// Regression: every client-chosen (dataset, p, seed) used to pin its O(E)
+// session forever. Sessions are now an LRU capped at kMaxDynSessions.
+TEST(JobSchedulerDynTest, CrrIncSessionsAreBoundedLru) {
+  obs::MetricsRegistry metrics;
+  GraphStore store({}, &metrics);
+  RegisterGraph(store, "g", RandomGraph(60, 120, 3));
+  JobSchedulerOptions options;
+  options.workers = 1;
+  JobScheduler scheduler(&store, &metrics, options);
+  constexpr uint64_t kKeys = JobScheduler::kMaxDynSessions + 4;
+  auto run = [&scheduler](uint64_t seed) {
+    JobSpec spec;
+    spec.dataset = "g";
+    spec.method = "crr-inc";
+    spec.seed = seed;
+    auto id = scheduler.Submit(spec);
+    EXPECT_TRUE(id.ok()) << id.status();
+    auto result = scheduler.Wait(*id);
+    EXPECT_TRUE(result.ok()) << result.status();
+    return *result;
+  };
+  for (uint64_t seed = 1; seed <= kKeys; ++seed) {
+    run(seed);
+    EXPECT_EQ(metrics.GaugeValue("scheduler.dyn_sessions"),
+              static_cast<int64_t>(
+                  std::min<uint64_t>(seed, JobScheduler::kMaxDynSessions)));
+  }
+
+  // A new generation, so the specs below run instead of hitting the result
+  // cache. The most recent key still has its session and re-sheds
+  // incrementally; the least recent was evicted and starts over cold.
+  ASSERT_TRUE(store.ApplyMutations("g", Batch({}, {{0, 1}})).ok());
+  auto mutated = store.Get("g");
+  ASSERT_TRUE(mutated.ok());
+  const uint64_t target = core::TargetEdgeCount(**mutated, 0.5);
+  auto full_rank = [](const JobResult& result) {
+    for (const auto& [key, value] : result->stats) {
+      if (key == "full_rank") return value;
+    }
+    return -1.0;
+  };
+  const JobResult retained = run(kKeys);
+  EXPECT_EQ(full_rank(retained), 0.0);
+  EXPECT_EQ(retained->kept_edges.size(), target);
+  const JobResult recreated = run(1);
+  EXPECT_EQ(full_rank(recreated), 1.0);
+  EXPECT_EQ(recreated->kept_edges.size(), target);
+  EXPECT_EQ(metrics.GaugeValue("scheduler.dyn_sessions"),
+            static_cast<int64_t>(JobScheduler::kMaxDynSessions));
+}
+
 TEST(JobSchedulerDynTest, CrrIncIsNotAKnownStaticShedder) {
   // crr-inc dispatches through the scheduler's session path; it must be
   // accepted by Submit but stay off the static-shedder degradation ladder.
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   RegisterGraph(store, "g", Path(6));
   JobScheduler scheduler(&store, &metrics, {.workers = 1});

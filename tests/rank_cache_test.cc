@@ -11,9 +11,9 @@
 #include "common/random.h"
 #include "core/crr.h"
 #include "graph/generators/generators.h"
+#include "obs/metrics.h"
 #include "service/graph_store.h"
 #include "service/job_scheduler.h"
-#include "service/metrics_registry.h"
 #include "testing/test_graphs.h"
 
 namespace edgeshed::service {
@@ -36,7 +36,7 @@ double StatValue(const core::SheddingResult& result, const std::string& key) {
 // ---- RankCache unit tests ----
 
 TEST(RankCacheTest, MissComputesThenHitsShareWithoutRecompute) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   RankCache cache({}, &metrics);
   graph::Graph g = SmallScaleFree();
   analytics::BetweennessOptions options;
@@ -93,7 +93,7 @@ TEST(RankCacheTest, GenerationBumpForcesRecompute) {
 }
 
 TEST(RankCacheTest, EvictsLeastRecentlyUsedPastByteBudget) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   graph::Graph g = SmallScaleFree();
   RankCacheOptions options;
   // Room for one ranking (|E| ids) but not two.
@@ -127,24 +127,8 @@ TEST(RankCacheTest, OversizedSingleRankingIsStillServed) {
   EXPECT_EQ(cache.entries(), 1u);  // never evicts the just-inserted entry
 }
 
-TEST(RankCacheTest, InvalidateDatasetDropsAllItsGenerations) {
-  MetricsRegistry metrics;
-  RankCache cache({}, &metrics);
-  graph::Graph g = SmallScaleFree();
-  analytics::BetweennessOptions options;
-  ASSERT_TRUE(cache.GetOrCompute("a", 1, g, options).ok());
-  ASSERT_TRUE(cache.GetOrCompute("a", 2, g, options).ok());
-  ASSERT_TRUE(cache.GetOrCompute("b", 1, g, options).ok());
-  cache.InvalidateDataset("a");
-  EXPECT_EQ(cache.entries(), 1u);
-  EXPECT_EQ(metrics.CounterValue("scheduler.rank_cache_invalidated"), 2u);
-  auto b_hit = cache.GetOrCompute("b", 1, g, options);
-  ASSERT_TRUE(b_hit.ok());
-  EXPECT_FALSE(b_hit->computed);
-}
-
 TEST(RankCacheTest, CancelledComputeIsNeitherCachedNorShared) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   RankCache cache({}, &metrics);
   graph::Graph g = SmallScaleFree();
   CancellationToken token;
@@ -211,7 +195,7 @@ TEST(GraphStoreReplaceTest, GenerationIsZeroForUnknownNames) {
 // ---- Scheduler integration: jobs share one ranking phase ----
 
 TEST(RankCacheSchedulerTest, CrrJobsAtDifferentPShareOneRanking) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   ASSERT_TRUE(store
                   .Register("ds",
@@ -264,7 +248,7 @@ TEST(RankCacheSchedulerTest, CrrJobsAtDifferentPShareOneRanking) {
 }
 
 TEST(RankCacheSchedulerTest, DatasetReplaceInvalidatesRankingAndResults) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   ASSERT_TRUE(store
                   .Register("ds",
@@ -316,7 +300,7 @@ TEST(RankCacheSchedulerTest, DisabledRankCacheStillRanksInline) {
                   .ok());
   JobSchedulerOptions options;
   options.workers = 1;
-  options.enable_rank_cache = false;
+  options.rank_cache_byte_budget = 0;
   JobScheduler scheduler(&store, nullptr, options);
   EXPECT_EQ(scheduler.rank_cache(), nullptr);
 

@@ -122,13 +122,13 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "net/wire.h"
+#include "obs/metrics.h"
 #include "obs/prometheus.h"
 #include "obs/stats_server.h"
 #include "obs/tracer.h"
 #include "service/dataset_registry.h"
 #include "service/graph_store.h"
 #include "service/job_scheduler.h"
-#include "service/metrics_registry.h"
 
 using namespace edgeshed;
 
@@ -474,7 +474,7 @@ StatusOr<service::JobSpec> ParseJobLine(const std::string& line) {
 }
 
 int CmdService(const eval::Flags& flags) {
-  service::MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
 
   // Observability: tracing is on whenever anything can consume it (a stats
   // server to query /tracez, or a --trace_out dump); otherwise the tracer
@@ -564,8 +564,6 @@ int CmdService(const eval::Flags& flags) {
       static_cast<uint64_t>(flags.GetInt("result_cache_mb", 64)) << 20;
   scheduler_options.rank_cache_byte_budget =
       static_cast<uint64_t>(flags.GetInt("rank_cache_mb", 128)) << 20;
-  scheduler_options.enable_rank_cache =
-      scheduler_options.rank_cache_byte_budget > 0;
   service::JobScheduler scheduler(&store, &metrics, scheduler_options,
                                   tracer.get());
 
@@ -717,7 +715,7 @@ Status ParseTenantsFlag(const std::string& tenants,
 }
 
 int CmdServe(const eval::Flags& flags) {
-  service::MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   const int64_t stats_port = flags.GetInt("stats_port", -1);
   std::unique_ptr<obs::Tracer> tracer;
   if (stats_port >= 0) tracer = std::make_unique<obs::Tracer>();
@@ -757,8 +755,6 @@ int CmdServe(const eval::Flags& flags) {
       static_cast<size_t>(flags.GetInt("queue", 1024));
   scheduler_options.rank_cache_byte_budget =
       static_cast<uint64_t>(flags.GetInt("rank_cache_mb", 128)) << 20;
-  scheduler_options.enable_rank_cache =
-      scheduler_options.rank_cache_byte_budget > 0;
   if (Status parsed = ParseTenantsFlag(flags.GetString("tenants", ""),
                                        &scheduler_options.tenants);
       !parsed.ok()) {
@@ -1178,7 +1174,7 @@ int CmdCoordinate(const eval::Flags& flags) {
     return 1;
   }
 
-  service::MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   const int64_t stats_port = flags.GetInt("stats_port", -1);
   const std::string trace_out = flags.GetString("trace_out", "");
   std::unique_ptr<obs::Tracer> tracer;
