@@ -1,8 +1,8 @@
 // Ingest-path benchmark suite (ISSUE 9).
 //
 // Measures every on-disk route into a served Graph — text edge list parse,
-// binary edge list, v2 snapshot, v3 snapshot copy load, v3 snapshot mmap
-// load, and the out-of-core text-to-v3 converter — and emits medians plus
+// v3 snapshot copy load, v3 snapshot mmap load, and the out-of-core
+// text-to-v3 converter — and emits medians plus
 // peak RSS to BENCH_ingest.json (schema edgeshed-bench-ingest-v1, diffed by
 // tools/compare_bench.py like the hot-path suite).
 //
@@ -205,8 +205,6 @@ int Main(int argc, char** argv) {
 
   const std::string graph_name = smoke ? "ba_160k" : "ba_640k";
   const std::string text_path = TempPath(graph_name + ".txt");
-  const std::string edges_path = TempPath(graph_name + ".ebl");
-  const std::string v2_path = TempPath(graph_name + ".v2.esg");
   const std::string v3_path = TempPath(graph_name + ".v3.esg");
   const std::string converted_path = TempPath(graph_name + ".converted.esg");
 
@@ -214,7 +212,7 @@ int Main(int argc, char** argv) {
   // in-memory copies so forked children inherit a small baseline RSS.
   // The text reload (not the generator output) is the reference: its node
   // numbering and original-id remap are what every converted artifact must
-  // reproduce, so all five loads below deserialize the identical graph.
+  // reproduce, so all three loads below deserialize the identical graph.
   uint64_t nodes = 0;
   uint64_t edges = 0;
   {
@@ -227,15 +225,7 @@ int Main(int argc, char** argv) {
     EDGESHED_CHECK(ref.ok()) << ref.status().ToString();
     nodes = ref->graph.NumNodes();
     edges = ref->graph.NumEdges();
-    save = graph::SaveBinaryEdgeList(ref->graph, ref->original_ids,
-                                     edges_path);
-    EDGESHED_CHECK(save.ok()) << save.ToString();
-    graph::SnapshotOptions v2;
-    v2.version = 2;
-    save = graph::SaveBinaryGraph(ref->graph, v2_path, v2);
-    EDGESHED_CHECK(save.ok()) << save.ToString();
     graph::SnapshotOptions v3;
-    v3.version = 3;
     v3.original_ids = ref->original_ids;
     save = graph::SaveBinaryGraph(ref->graph, v3_path, v3);
     EDGESHED_CHECK(save.ok()) << save.ToString();
@@ -259,12 +249,6 @@ int Main(int argc, char** argv) {
   TimeOp(graph_name, nodes, edges, "ingest_text", repeats,
          [&] { check_load({text_path, graph::GraphFormat::kText}, {}); },
          &results);
-  TimeOp(graph_name, nodes, edges, "ingest_binary_edges", repeats,
-         [&] { check_load({edges_path, graph::GraphFormat::kBinaryEdges}, {}); },
-         &results);
-  TimeOp(graph_name, nodes, edges, "snapshot_v2_load", repeats,
-         [&] { check_load({v2_path, graph::GraphFormat::kSnapshot}, {}); },
-         &results);
   graph::IngestOptions copy_load;
   copy_load.mmap = false;
   TimeOp(graph_name, nodes, edges, "snapshot_v3_load", repeats,
@@ -280,7 +264,6 @@ int Main(int argc, char** argv) {
   // the run always exercises the spill/merge path.
   graph::ExternalBuildOptions external;
   external.memory_budget_bytes = (smoke ? 1ull : 4ull) << 20;
-  external.snapshot.version = 3;
   TimeOp(graph_name, nodes, edges, "external_convert", repeats,
          [&] {
            auto stats = graph::BuildSnapshotExternal(text_path, converted_path,
@@ -323,8 +306,7 @@ int Main(int argc, char** argv) {
 
   WriteJson(out, rev, repeats, baseline_rss_kb, results);
 
-  for (const std::string& path :
-       {text_path, edges_path, v2_path, v3_path, converted_path}) {
+  for (const std::string& path : {text_path, v3_path, converted_path}) {
     std::remove(path.c_str());
   }
   return 0;

@@ -9,8 +9,9 @@ namespace edgeshed {
 
 /// CRC-32 (IEEE 802.3, the zlib/PNG polynomial 0xEDB88320), the integrity
 /// checksum shared by the net wire protocol (net/wire.h frame payloads) and
-/// the binary graph snapshot footer (graph/binary_io.h version 2). It lives
-/// in common/ so both can use one implementation without a dependency cycle.
+/// the graph snapshot header and chunk table (graph/snapshot_format.h). It
+/// lives in common/ so both can use one implementation without a dependency
+/// cycle.
 ///
 /// One-shot:
 ///   uint32_t crc = Crc32(payload);

@@ -168,7 +168,7 @@ StatusOr<std::vector<graph::EdgeId>> ShedCoordinator::RunShardRemote(
   const std::string kept_path =
       options_.shard_dir + "/" + task.output + ".esg";
   // Kept subgraphs are consumed once for the merge: map them rather than
-  // copying (LoadGraph sniffs the version; workers write v3).
+  // copying (workers write v3 snapshots).
   auto kept = graph::LoadGraph(kept_path);
   if (!kept.ok()) return kept.status();
   return MapKeptSubgraphToGlobal(*task.shard, kept->graph);
@@ -313,10 +313,10 @@ StatusOr<DistShedResult> ShedCoordinator::Run(const graph::Graph& g) {
       if (!remote) continue;
       const std::string path =
           options_.shard_dir + "/" + task.dataset + ".esg";
-      // v3 so the worker's shard-dir fallback can mmap the shard instead of
-      // re-parsing and re-transposing an edge list on first Get.
-      EDGESHED_RETURN_IF_ERROR(graph::SaveBinaryGraph(
-          task.shard->graph, path, graph::SnapshotOptions{}));
+      // A snapshot, so the worker's shard-dir fallback can mmap the shard
+      // instead of re-parsing and re-transposing an edge list on first Get.
+      EDGESHED_RETURN_IF_ERROR(
+          graph::SaveBinaryGraph(task.shard->graph, path));
     }
   }
   result.snapshot_seconds = phase_watch.ElapsedSeconds();

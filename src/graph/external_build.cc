@@ -343,10 +343,6 @@ Status CancelStatus(const CancellationToken* cancel) {
 StatusOr<ExternalBuildStats> BuildSnapshotExternal(
     const GraphSource& source, const std::string& out_path,
     const ExternalBuildOptions& options) {
-  if (options.snapshot.version != 3) {
-    return Status::InvalidArgument(
-        "external build writes v3 snapshots only");
-  }
   if (!options.snapshot.original_ids.empty()) {
     return Status::InvalidArgument(
         "external build discovers original_ids itself; leave the "

@@ -27,7 +27,7 @@ namespace edgeshed::graph {
 /// merge-join of the forward edge stream and the sorted reverse runs emits
 /// the CSR sections straight into the output file at their independent
 /// offsets. The resulting snapshot is byte-identical to
-/// SaveBinaryGraph(LoadEdgeList(...), v3) on the same input.
+/// SaveBinaryGraph(LoadEdgeList(...)) on the same input.
 struct ExternalBuildOptions {
   /// Budget for the spill buffers and merge read buffers. The O(num_nodes)
   /// resident state is NOT counted against this. Minimum 1 MiB (smaller
@@ -35,9 +35,9 @@ struct ExternalBuildOptions {
   uint64_t memory_budget_bytes = uint64_t{256} << 20;
   /// Directory for run files; empty = alongside the output path.
   std::string temp_dir;
-  /// Output layout. `version` must be 3 and `original_ids` must be empty
-  /// (the converter discovers the id table itself and embeds it whenever
-  /// the input numbering is not the identity).
+  /// Output layout. `original_ids` must be empty (the converter discovers
+  /// the id table itself and embeds it whenever the input numbering is not
+  /// the identity).
   SnapshotOptions snapshot;
   int threads = 0;  // 0 = DefaultThreadCount()
   const CancellationToken* cancel = nullptr;

@@ -166,8 +166,10 @@ StatusOr<SnapshotHeader> DecodeSnapshotHeader(const char* data,
     return Status::InvalidArgument("truncated snapshot (no magic): " + path);
   }
   if (std::memcmp(data, kSnapshotMagicV3, sizeof(kSnapshotMagicV3)) != 0) {
-    return Status::InvalidArgument("not a v3 snapshot (magic '" +
-                                   MagicString(data) + "'): " + path);
+    return Status::InvalidArgument(
+        "not a v3 snapshot (magic '" + MagicString(data) +
+        "'); only EDGSHED3 snapshots load, re-convert from the text edge "
+        "list: " + path);
   }
   if (file_bytes < kSnapshotChunkCountOffset + 4) {
     return Status::InvalidArgument("truncated snapshot header: " + path);

@@ -1,6 +1,5 @@
 #include "graph/source.h"
 
-#include <cstring>
 #include <fstream>
 
 #include "graph/binary_io.h"
@@ -9,18 +8,13 @@
 namespace edgeshed::graph {
 
 GraphFormat SniffGraphFormat(std::string_view leading_bytes) {
-  if (leading_bytes.size() >= 8 &&
-      leading_bytes.substr(0, 7) == "EDGSHED") {
-    switch (leading_bytes[7]) {
-      case '1':
-      case '2':
-      case '3':
-        return GraphFormat::kSnapshot;
-      case 'L':
-        return GraphFormat::kBinaryEdges;
-      default:
-        break;  // unknown future version: let the text parser complain
-    }
+  // "EDGSHED3" plus the retired "EDGSHED1", "EDGSHED2" and "EDGSHEDL":
+  // LoadSnapshot accepts only the first and rejects the rest by name.
+  // Unknown suffixes are left for the text parser to reject.
+  if (leading_bytes.size() >= 8 && leading_bytes.substr(0, 7) == "EDGSHED" &&
+      std::string_view("123L").find(leading_bytes[7]) !=
+          std::string_view::npos) {
+    return GraphFormat::kSnapshot;
   }
   return GraphFormat::kText;
 }
@@ -45,8 +39,6 @@ StatusOr<LoadedGraph> LoadGraph(const GraphSource& source,
   switch (format) {
     case GraphFormat::kText:
       return LoadEdgeList(source.path, options);
-    case GraphFormat::kBinaryEdges:
-      return LoadBinaryEdgeList(source.path, options);
     case GraphFormat::kSnapshot:
       return LoadSnapshot(source.path, options);
     case GraphFormat::kAuto:
@@ -61,8 +53,6 @@ const char* GraphFormatName(GraphFormat format) {
       return "auto";
     case GraphFormat::kText:
       return "text";
-    case GraphFormat::kBinaryEdges:
-      return "binary_edges";
     case GraphFormat::kSnapshot:
       return "snapshot";
   }
@@ -72,11 +62,10 @@ const char* GraphFormatName(GraphFormat format) {
 StatusOr<GraphFormat> ParseGraphFormat(std::string_view name) {
   if (name == "auto") return GraphFormat::kAuto;
   if (name == "text") return GraphFormat::kText;
-  if (name == "binary_edges") return GraphFormat::kBinaryEdges;
   if (name == "snapshot") return GraphFormat::kSnapshot;
   return Status::InvalidArgument("unknown graph format '" +
                                  std::string(name) +
-                                 "' (auto|text|binary_edges|snapshot)");
+                                 "' (auto|text|snapshot)");
 }
 
 }  // namespace edgeshed::graph

@@ -15,26 +15,25 @@ namespace edgeshed::graph {
 struct LoadedGraph {
   Graph graph;
   /// original_ids[i] is the id the input used for dense node i; node ids in
-  /// SNAP files are arbitrary and sparse, so loaders remap them. Formats
-  /// that don't record a remap (v1/v2 snapshots, v3 snapshots written
-  /// without an id table) leave this empty, meaning identity.
+  /// SNAP files are arbitrary and sparse, so loaders remap them. Snapshots
+  /// written without an id table leave this empty, meaning identity.
   std::vector<uint64_t> original_ids;
 };
 
 /// On-disk graph representations the unified loader understands.
 /// DESIGN.md §14 has the format reference table.
 enum class GraphFormat {
-  kAuto,         // sniff from the leading bytes of the file
-  kText,         // SNAP-style whitespace edge list ("u v" lines, # comments)
-  kBinaryEdges,  // "EDGSHEDL" binary edge list (graph/edge_list_io.h)
-  kSnapshot,     // "EDGSHED1/2/3" CSR snapshot (graph/binary_io.h)
+  kAuto,      // sniff from the leading bytes of the file
+  kText,      // SNAP-style whitespace edge list ("u v" lines, # comments)
+  kSnapshot,  // "EDGSHED3" CSR snapshot (graph/binary_io.h)
 };
 
 /// Where to load a graph from. `format = kAuto` sniffs the file's magic:
-/// a known snapshot or binary-edge magic selects that format, anything else
-/// is treated as text. Explicit formats skip sniffing and fail with
-/// InvalidArgument when the bytes disagree (a v3 snapshot handed to the
-/// text parser reports the detected magic, not a line-1 parse error).
+/// a snapshot magic, live or retired, selects the snapshot loader (which
+/// rejects every magic but "EDGSHED3"), anything else is treated as text.
+/// Explicit formats skip sniffing and fail with InvalidArgument when the
+/// bytes disagree (a v3 snapshot handed to the text parser reports the
+/// detected magic, not a line-1 parse error).
 struct GraphSource {
   std::string path;
   GraphFormat format = GraphFormat::kAuto;
@@ -53,8 +52,8 @@ struct IngestOptions {
   /// (0 = DefaultThreadCount()).
   int threads = 0;
   /// Serve v3 snapshots zero-copy from a shared file mapping instead of
-  /// copying the CSR onto the heap. Ignored (copy load) for every other
-  /// format — only v3 lays its sections out for in-place adoption.
+  /// copying the CSR onto the heap. Ignored for text, which is always
+  /// parsed onto the heap.
   bool mmap = true;
   /// Verify snapshot checksums and run deep O(n+m) structural validation.
   /// Turning this off keeps the O(n) shape checks but trusts file content —
@@ -65,22 +64,25 @@ struct IngestOptions {
   const CancellationToken* cancel = nullptr;
 };
 
-/// Classifies leading file bytes (8+ for a definite answer): snapshot and
-/// binary-edge magics map to their formats, everything else is text.
+/// Classifies leading file bytes (8+ for a definite answer): "EDGSHED3"
+/// is a snapshot, everything else is text — except the retired magics
+/// "EDGSHED1", "EDGSHED2" and "EDGSHEDL", which also classify as snapshots
+/// so the snapshot loader rejects them by name instead of the text parser
+/// failing on line 1.
 GraphFormat SniffGraphFormat(std::string_view leading_bytes);
 
-/// Sniffs the on-disk format from the file's leading bytes: snapshot and
-/// binary-edge magics map to their formats, everything else (including an
-/// empty file) is text. IOError when the file cannot be opened.
+/// Sniffs the on-disk format from the file's leading bytes as
+/// SniffGraphFormat does (an empty file is text). IOError when the file
+/// cannot be opened.
 StatusOr<GraphFormat> DetectGraphFormat(const std::string& path);
 
-/// Unified entry point for every on-disk graph representation: text edge
-/// lists, binary edge lists, and CSR snapshots (copy or mmap). This is the
+/// Unified entry point for both on-disk graph representations: text edge
+/// lists and CSR snapshots (copy or mmap). This is the
 /// API the CLI, GraphStore, and the dist fleet all load through.
 StatusOr<LoadedGraph> LoadGraph(const GraphSource& source,
                                 const IngestOptions& options = {});
 
-/// Canonical lowercase name ("auto", "text", "binary_edges", "snapshot").
+/// Canonical lowercase name ("auto", "text", "snapshot").
 const char* GraphFormatName(GraphFormat format);
 
 /// Parses a format name as accepted by the CLI --format flag; the inverse

@@ -16,9 +16,9 @@ namespace edgeshed::service {
 Status RegisterSurrogateDatasets(GraphStore& store,
                                  const graph::DatasetOptions& options = {});
 
-/// Registers `name` as a lazily-loaded graph file of any supported format
-/// (text edge list, binary edge list, or snapshot — auto-detected; v3
-/// snapshots are served zero-copy from a file mapping). The file is read
+/// Registers `name` as a lazily-loaded graph file of either supported
+/// format (text edge list or snapshot — auto-detected; snapshots are served
+/// zero-copy from a file mapping). The file is read
 /// (and validated) on first Get; a missing file surfaces as that Get's
 /// error, not here.
 Status RegisterEdgeListDataset(GraphStore& store, const std::string& name,
@@ -33,8 +33,8 @@ bool IsSafeDatasetName(const std::string& name);
 
 /// Installs a GraphStore fallback (SetFallbackLoaderFactory) that resolves
 /// any safe, not-yet-registered dataset name to the binary snapshot
-/// `<dir>/<name>.esg` (any snapshot version; v3 is memory-mapped and
-/// served zero-copy when `mmap` is set), loaded lazily on first Get. Files
+/// `<dir>/<name>.esg` (memory-mapped and served zero-copy when `mmap` is
+/// set), loaded lazily on first Get. Files
 /// may appear after the worker starts — the shed-fleet coordinator writes
 /// shard snapshots into `dir` and then submits jobs naming them (DESIGN.md
 /// §11). Unsafe names are declined (the Get reports NotFound); a safe name

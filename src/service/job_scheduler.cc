@@ -35,8 +35,8 @@ constexpr std::string_view kIncrementalMethod = "crr-inc";
 /// loads it zero-copy.
 Status WriteKeptSnapshot(const graph::Graph& parent, const std::string& path,
                          const Stopwatch& watch, core::SheddingResult& result) {
-  EDGESHED_RETURN_IF_ERROR(graph::SaveBinaryGraph(
-      result.BuildReducedGraph(parent), path, graph::SnapshotOptions{}));
+  EDGESHED_RETURN_IF_ERROR(
+      graph::SaveBinaryGraph(result.BuildReducedGraph(parent), path));
   result.stats.emplace_back("output_write_seconds", watch.ElapsedSeconds());
   return Status::OK();
 }

@@ -125,7 +125,7 @@ struct JobSpec {
   /// and the job finishes kCancelled with DeadlineExceeded.
   std::chrono::milliseconds deadline{0};
   /// When non-empty, the kept subgraph G' = (V, E') is written to this path
-  /// as a v2 binary snapshot after a successful shed (a write failure fails
+  /// as a v3 snapshot after a successful shed (a write failure fails
   /// the job with the writer's status). Part of the dedup key: two specs
   /// differing only in output_path are distinct jobs, so a cached result
   /// never skips a snapshot the caller asked for.

@@ -178,12 +178,13 @@ TEST_F(ExternalBuildTest, RejectsBinaryInput) {
   EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(ExternalBuildTest, RejectsNonV3Options) {
-  const std::string text = TempPath("v2req.txt");
+TEST_F(ExternalBuildTest, RejectsCallerSuppliedOriginalIds) {
+  const std::string text = TempPath("ids.txt");
   WriteFile(text, "0 1\n");
+  const std::vector<uint64_t> ids = {7, 9};
   ExternalBuildOptions options;
-  options.snapshot.version = 2;
-  auto stats = BuildSnapshotExternal(text, TempPath("v2req.es3"), options);
+  options.snapshot.original_ids = ids;
+  auto stats = BuildSnapshotExternal(text, TempPath("ids.es3"), options);
   ASSERT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
 }

@@ -477,27 +477,28 @@ TEST(WireMessageTest, ApplyMutationsHostileCountFailsWithoutAllocating) {
 }
 
 // ---------------------------------------------------------------------------
-// v1 <-> v2 compatibility (QoS tails)
+// One wire version: every field mandatory
 
-TEST(WireCompatTest, OlderFrameVersionsWithinRangeAreAccepted) {
+TEST(WireCompatTest, OlderFrameVersionsAreRejected) {
   std::string bytes = EncodeFrame(MessageType::kPingRequest,
                                   EncodePing(PingMessage{1}));
   ASSERT_EQ(static_cast<uint8_t>(bytes[4]), kWireVersion);
-  // A v1 peer's frame (the CRC covers only the payload, so patching the
-  // version byte keeps the frame valid).
-  bytes[4] = static_cast<char>(kWireMinVersion);
-  DecodeResult v1 = DecodeFrame(bytes);
-  EXPECT_EQ(v1.event, DecodeEvent::kFrame);
-
-  bytes[4] = static_cast<char>(kWireMinVersion - 1);
-  EXPECT_EQ(DecodeFrame(bytes).event, DecodeEvent::kError);
-  bytes[4] = static_cast<char>(kWireVersion + 1);
-  EXPECT_EQ(DecodeFrame(bytes).event, DecodeEvent::kError);
+  EXPECT_EQ(DecodeFrame(bytes).event, DecodeEvent::kFrame);
+  // Earlier peers' frames (the CRC covers only the payload, so patching the
+  // version byte keeps the frame otherwise valid).
+  for (const int version : {0, 1, 2, kWireVersion + 1}) {
+    SCOPED_TRACE(version);
+    bytes[4] = static_cast<char>(version);
+    const DecodeResult result = DecodeFrame(bytes);
+    ASSERT_EQ(result.event, DecodeEvent::kError);
+    EXPECT_EQ(result.error.code(), StatusCode::kInvalidArgument);
+  }
 }
 
-TEST(WireCompatTest, V1ShedRequestBodyDecodesWithDefaultTail) {
-  // A v1 encoder stops after `output`; the decoder must supply neutral QoS
-  // defaults (default tenant, normal lane) rather than failing.
+// Bodies that stop where the pre-v3 encoders stopped, before the QoS
+// fields, must fail as truncated, not decode with defaults.
+
+TEST(WireCompatTest, ShedRequestBodyWithoutQosFieldsIsTruncated) {
   WireWriter w;
   w.PutString("clique");
   w.PutString("crr");
@@ -506,15 +507,38 @@ TEST(WireCompatTest, V1ShedRequestBodyDecodesWithDefaultTail) {
   w.PutU64(2500);
   w.PutU8(1);          // wait
   w.PutString("out");  // output
-
   ShedRequest decoded;
-  decoded.tenant = "stale";
-  decoded.priority = 9;
-  ASSERT_TRUE(DecodeShedRequest(w.bytes(), &decoded).ok());
-  EXPECT_EQ(decoded.dataset, "clique");
-  EXPECT_EQ(decoded.deadline_ms, 2500u);
-  EXPECT_TRUE(decoded.tenant.empty());
-  EXPECT_EQ(decoded.priority, 0);
+  EXPECT_EQ(DecodeShedRequest(w.bytes(), &decoded).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(WireCompatTest, ResultSummaryBodyWithoutTierFieldsIsTruncated) {
+  WireWriter w;
+  w.PutU64(3);       // job_id
+  w.PutU64(120);     // kept_edges
+  w.PutDouble(1.0);  // total_delta
+  w.PutDouble(0.5);  // average_delta
+  w.PutDouble(0.2);  // reduction_seconds
+  w.PutU8(0);        // deduplicated
+  w.PutU32(1);       // one stat
+  w.PutString("swaps");
+  w.PutDouble(12.0);
+  ResultSummary decoded;
+  EXPECT_EQ(DecodeResultSummaryBody(w.bytes(), &decoded).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(WireCompatTest, StatusResponseBodyWithoutTierFieldsIsTruncated) {
+  WireWriter w;
+  w.PutU8(2);         // state
+  w.PutU8(0);         // code
+  w.PutString("");    // message
+  w.PutU8(0);         // deduplicated
+  w.PutDouble(0.1);   // queue_seconds
+  w.PutDouble(0.2);   // run_seconds
+  GetStatusResponse decoded;
+  EXPECT_EQ(DecodeGetStatusResponseBody(w.bytes(), &decoded).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(WireCompatTest, ShedRequestRoundTripsTenantAndPriority) {
@@ -526,30 +550,6 @@ TEST(WireCompatTest, ShedRequestRoundTripsTenantAndPriority) {
   ASSERT_TRUE(DecodeShedRequest(EncodeShedRequest(request), &decoded).ok());
   EXPECT_EQ(decoded.tenant, "gold");
   EXPECT_EQ(decoded.priority, 1);
-}
-
-TEST(WireCompatTest, V1ResultSummaryBodyDecodesWithDefaultTail) {
-  WireWriter w;
-  w.PutU64(3);       // job_id
-  w.PutU64(120);     // kept_edges
-  w.PutDouble(1.0);  // total_delta
-  w.PutDouble(0.5);  // average_delta
-  w.PutDouble(0.2);  // reduction_seconds
-  w.PutU8(0);        // deduplicated
-  w.PutU32(1);       // one stat
-  w.PutString("swaps");
-  w.PutDouble(12.0);
-
-  ResultSummary decoded;
-  decoded.applied_method = "stale";
-  decoded.applied_p = 0.9;
-  decoded.degrade_kind = 2;
-  ASSERT_TRUE(DecodeResultSummaryBody(w.bytes(), &decoded).ok());
-  EXPECT_EQ(decoded.kept_edges, 120u);
-  ASSERT_EQ(decoded.stats.size(), 1u);
-  EXPECT_TRUE(decoded.applied_method.empty());
-  EXPECT_DOUBLE_EQ(decoded.applied_p, 0.0);
-  EXPECT_EQ(decoded.degrade_kind, 0);
 }
 
 TEST(WireCompatTest, AppliedTierRoundTripsOnSummaryAndStatus) {
@@ -567,8 +567,7 @@ TEST(WireCompatTest, AppliedTierRoundTripsOnSummaryAndStatus) {
   EXPECT_EQ(summary_decoded.degrade_kind,
             static_cast<uint8_t>(DegradeKind::kCheaperTier));
 
-  // The summary also survives embedded in a ShedResponse — it is that
-  // message's last field, which is what makes the optional tail safe.
+  // The summary also survives embedded in a ShedResponse.
   ShedResponse response;
   response.job_id = 8;
   response.has_result = true;

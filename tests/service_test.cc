@@ -1033,10 +1033,10 @@ TEST(JobSchedulerTest, OutputPathWritesTheKeptSnapshot) {
   auto result = scheduler.Wait(*id);
   ASSERT_TRUE(result.ok()) << result.status();
 
-  auto snapshot = graph::LoadBinaryGraph(path);
+  auto snapshot = graph::LoadSnapshot(path);
   ASSERT_TRUE(snapshot.ok()) << snapshot.status();
-  EXPECT_EQ(snapshot->NumNodes(), 12u);
-  EXPECT_EQ(snapshot->NumEdges(), (*result)->kept_edges.size());
+  EXPECT_EQ(snapshot->graph.NumNodes(), 12u);
+  EXPECT_EQ(snapshot->graph.NumEdges(), (*result)->kept_edges.size());
 
   // output_path is part of the dedup key: the same shed without an output
   // is a distinct job, not a cache hit that would skip the write.

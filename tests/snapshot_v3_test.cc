@@ -156,23 +156,6 @@ TEST_F(SnapshotV3Test, UnusualAlignmentAndChunkSizesRoundTrip) {
   }
 }
 
-TEST_F(SnapshotV3Test, RejectsUnsupportedVersion) {
-  SnapshotOptions options;
-  options.version = 7;
-  const Graph g = PaperExampleGraph();
-  const Status s = SaveBinaryGraph(g, TempPath("v7.es3"), options);
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(SnapshotV3Test, BareSaveStillWritesV2) {
-  const Graph g = PaperExampleGraph();
-  const std::string path = TempPath("compat.esg");
-  ASSERT_TRUE(SaveBinaryGraph(g, path).ok());
-  const std::string bytes = ReadFile(path);
-  ASSERT_GE(bytes.size(), 8u);
-  EXPECT_EQ(bytes.substr(0, 8), "EDGSHED2");
-}
-
 // --- Corrupt-file corpus: exact status codes, pinned by ISSUE.md. ---
 
 TEST_F(SnapshotV3Test, TruncatedHeaderIsInvalidArgument) {
