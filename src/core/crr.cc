@@ -1,13 +1,15 @@
 #include "core/crr.h"
 
-#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "common/parallel.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "core/discrepancy.h"
+#include "core/swap_chain.h"
 
 namespace edgeshed::core {
 
@@ -18,8 +20,9 @@ namespace {
 /// the graph's edge array (a guaranteed cache miss per draw on big graphs).
 struct CachedEdge {
   graph::EdgeId id;
-  graph::NodeId u;
-  graph::NodeId v;
+  graph::Edge edge;
+  graph::NodeId u() const { return edge.u; }
+  graph::NodeId v() const { return edge.v; }
 };
 
 std::vector<CachedEdge> CacheEndpoints(const graph::Graph& g,
@@ -28,8 +31,7 @@ std::vector<CachedEdge> CacheEndpoints(const graph::Graph& g,
   std::vector<CachedEdge> cached(count);
   ParallelFor(0, count, [&](uint64_t begin, uint64_t end) {
     for (uint64_t i = begin; i < end; ++i) {
-      const graph::Edge& e = g.edge(ids[i]);
-      cached[i] = CachedEdge{ids[i], e.u, e.v};
+      cached[i] = CachedEdge{ids[i], g.edge(ids[i])};
     }
   });
   return cached;
@@ -90,59 +92,40 @@ StatusOr<SheddingResult> Crr::Shed(const graph::Graph& g,
 
   DegreeDiscrepancy discrepancy(g, p);
   for (const CachedEdge& e : kept) {
-    discrepancy.AddEdge(e.u, e.v);
+    discrepancy.AddEdge(e.u(), e.v());
   }
 
   // ---- Phase 2: random swap attempts between E' and E \ E'. ----
-  Stopwatch phase2_watch;
-  const uint64_t steps = StepsFor(g, p);
-  uint64_t accepted = 0;
-  // Poll the token once per 4096 swap attempts: a single predictable branch
-  // amortized over thousands of draws, so the loop stays branch-cheap and
-  // the swap sequence is bit-identical whenever the token never trips.
-  constexpr uint64_t kCancelCheckMask = 4096 - 1;
-  if (!kept.empty() && !excluded.empty()) {
-    for (uint64_t step = 0; step < steps; ++step) {
-      if ((step & kCancelCheckMask) == 0 && CancellationRequested(cancel)) {
-        return cancel->ToStatus();
-      }
-      const size_t kept_index = rng.UniformIndex(kept.size());
-      const size_t excluded_index = rng.UniformIndex(excluded.size());
-      const CachedEdge removal = kept[kept_index];
-      const CachedEdge addition = excluded[excluded_index];
+  EDGESHED_ASSIGN_OR_RETURN(
+      const SwapChainStats phase2,
+      RunSwapChain(kept.data(), kept.size(), excluded.data(), excluded.size(),
+                   StepsFor(g, p), options_.accept_zero_delta_swaps, &rng,
+                   &discrepancy, cancel,
+                   [](CachedEdge& removal, CachedEdge& addition) {
+                     std::swap(removal, addition);
+                   }));
 
-      // d1, d2 exactly as Algorithm 1 lines 10-11: both evaluated against
-      // the current state. (When the two edges share an endpoint the true
-      // combined change can differ; the paper's acceptance test — which we
-      // follow — ignores that interaction, while our Δ bookkeeping below
-      // applies the two operations sequentially and stays exact.)
-      const double d1 = discrepancy.RemovalDelta(removal.u, removal.v);
-      const double d2 = discrepancy.AdditionDelta(addition.u, addition.v);
-      const double combined = d1 + d2;
-      const bool accept = options_.accept_zero_delta_swaps
-                              ? combined <= 0.0
-                              : combined < 0.0;
-      if (!accept) continue;
-      discrepancy.RemoveEdge(removal.u, removal.v);
-      discrepancy.AddEdge(addition.u, addition.v);
-      std::swap(kept[kept_index], excluded[excluded_index]);
-      ++accepted;
+  // Kept ids are unique, so marking them in an |E|-bit map and scanning it
+  // in id order lists them ascending in O(|E|/64) words, with no sort.
+  std::vector<uint64_t> kept_bits((num_edges + 63) / 64, 0);
+  for (const CachedEdge& e : kept) {
+    kept_bits[e.id >> 6] |= uint64_t{1} << (e.id & 63);
+  }
+  result.kept_edges.reserve(kept.size());
+  for (size_t word = 0; word < kept_bits.size(); ++word) {
+    for (uint64_t bits = kept_bits[word]; bits != 0; bits &= bits - 1) {
+      result.kept_edges.push_back(word * 64 + std::countr_zero(bits));
     }
   }
-  const double phase2_seconds = phase2_watch.ElapsedSeconds();
-
-  result.kept_edges.resize(kept.size());
-  for (size_t i = 0; i < kept.size(); ++i) result.kept_edges[i] = kept[i].id;
-  ParallelSort(result.kept_edges.begin(), result.kept_edges.end());
   result.total_delta = discrepancy.TotalDelta();
   result.average_delta = discrepancy.AverageDelta();
   result.reduction_seconds = total_watch.ElapsedSeconds();
   result.stats = {
       {"phase1_seconds", phase1_seconds},
-      {"phase2_seconds", phase2_seconds},
+      {"phase2_seconds", phase2.seconds},
       {"betweenness_seconds", betweenness_seconds},
-      {"steps", static_cast<double>(steps)},
-      {"swaps_accepted", static_cast<double>(accepted)},
+      {"steps", static_cast<double>(phase2.steps)},
+      {"swaps_accepted", static_cast<double>(phase2.swaps_accepted)},
   };
   return result;
 }

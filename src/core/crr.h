@@ -43,7 +43,8 @@ struct CrrOptions {
 /// Phase 1 keeps the round(p·|E|) edges of highest edge betweenness
 /// centrality (ties resolved deterministically by edge id). Phase 2 runs
 /// `steps` random swap attempts between E' and E \ E', accepting a swap iff
-/// it strictly reduces the total degree discrepancy Δ. |E'| is invariant
+/// it strictly reduces the total degree discrepancy Δ (core/swap_chain.h,
+/// shared with dyn::ShedSession). |E'| is invariant
 /// throughout, which pins the reduced graph's average degree at p times the
 /// original (Eq. 2).
 class Crr : public EdgeShedder {
@@ -52,9 +53,11 @@ class Crr : public EdgeShedder {
 
   std::string name() const override { return "crr"; }
   /// ShedOptions mapping: `seed` overrides CrrOptions::seed; `threads`
-  /// overrides the betweenness estimator's thread count (Phase 2 is
-  /// sequential by construction — the swap chain is a single dependent
-  /// random walk).
+  /// overrides the betweenness estimator's thread count. Phase 2 runs on
+  /// one thread: the swap chain is a single dependent random walk, but its
+  /// draws do not depend on the chain's state, which is why
+  /// core/swap_chain.h draws them ahead and prefetches the memory they
+  /// touch.
   StatusOr<SheddingResult> Shed(const graph::Graph& g,
                                 const ShedOptions& options) const override;
 

@@ -77,44 +77,28 @@ ShedSession::ShedSession(std::shared_ptr<VersionedGraph> g,
   EDGESHED_CHECK(status.ok()) << status.ToString();
 }
 
-uint64_t ShedSession::RefineKeptSet(std::vector<RankedEdge>* order,
-                                    uint64_t target, uint64_t steps,
-                                    uint64_t rng_seed) {
-  const uint64_t excluded_count = order->size() - target;
-  if (target == 0 || excluded_count == 0) return 0;
+StatusOr<core::SwapChainStats> ShedSession::RefineKeptSet(
+    uint64_t target, uint64_t steps, uint64_t rng_seed,
+    const CancellationToken* cancel) {
   Rng rng(rng_seed);
-  uint64_t accepted = 0;
-  for (uint64_t step = 0; step < steps; ++step) {
-    const size_t kept_index = rng.UniformIndex(target);
-    const size_t excluded_index = rng.UniformIndex(excluded_count);
-    RankedEdge& kept_slot = (*order)[kept_index];
-    RankedEdge& excluded_slot = (*order)[target + excluded_index];
-    const RankedEdge removal = kept_slot;
-    const RankedEdge addition = excluded_slot;
-    // d1/d2 acceptance exactly as Crr::Shed Phase 2 (Algorithm 1 lines
-    // 10-11) — the arithmetic must stay byte-for-byte equivalent or the
-    // cold session stops matching core::Crr.
-    const double d1 = disc_->RemovalDelta(removal.u(), removal.v());
-    const double d2 = disc_->AdditionDelta(addition.u(), addition.v());
-    const double combined = d1 + d2;
-    const bool accept = options_.accept_zero_delta_swaps ? combined <= 0.0
-                                                         : combined < 0.0;
-    if (!accept) continue;
-    disc_->RemoveEdge(removal.u(), removal.v());
-    disc_->AddEdge(addition.u(), addition.v());
-    // The two edges trade rank slots along with kept membership: each slot
-    // keeps its eff (and the occupants swap scores), so "kept
-    // set == top-round(p·E) by score" survives into the next incremental
-    // pass. Without this that pass, which rebuilds its kept baseline from
-    // the rank order, would silently undo every refinement swap and
-    // regress total delta to the unrefined rank cut.
-    std::swap(kept_slot.key, excluded_slot.key);
-    kept_keys_.erase(removal.key);
-    kept_keys_.insert(addition.key);
-    std::swap(score_[removal.key], score_[addition.key]);
-    ++accepted;
-  }
-  return accepted;
+  return core::RunSwapChain(
+      order_.data(), target, order_.data() + target, order_.size() - target,
+      steps, options_.accept_zero_delta_swaps, &rng, &*disc_, cancel,
+      [this](RankedEdge& kept_slot, RankedEdge& excluded_slot) {
+        // The two edges trade rank slots along with kept membership: each
+        // slot keeps its eff (and the occupants swap scores), so "kept
+        // set == top-round(p·E) by score" survives into the next
+        // incremental pass. Without this that pass, which rebuilds its kept
+        // baseline from the rank order, would silently undo every
+        // refinement swap and regress total delta to the unrefined rank
+        // cut.
+        const uint64_t removal = kept_slot.key;
+        const uint64_t addition = excluded_slot.key;
+        std::swap(kept_slot.key, excluded_slot.key);
+        kept_keys_.erase(removal);
+        kept_keys_.insert(addition);
+        std::swap(score_[removal], score_[addition]);
+      });
 }
 
 DynamicShedResult ShedSession::BuildResult(uint64_t version) const {
@@ -162,7 +146,8 @@ DynamicShedResult ShedSession::BuildResult(uint64_t version) const {
 }
 
 StatusOr<DynamicShedResult> ShedSession::FullShed(
-    const std::shared_ptr<const DeltaGraph>& snap) {
+    const std::shared_ptr<const DeltaGraph>& snap,
+    const CancellationToken* cancel) {
   Stopwatch watch;
   const uint64_t version = snap->version();
   graph::Graph materialized;
@@ -176,6 +161,7 @@ StatusOr<DynamicShedResult> ShedSession::FullShed(
   const uint64_t num_edges = g->NumEdges();
 
   analytics::BetweennessOptions betweenness = options_.betweenness;
+  betweenness.cancel = cancel;
   if (options_.threads > 0) betweenness.threads = options_.threads;
   double betweenness_seconds = 0.0;
   std::vector<graph::EdgeId> ranked;
@@ -194,8 +180,10 @@ StatusOr<DynamicShedResult> ShedSession::FullShed(
     ranked = analytics::EdgesByBetweennessDescending(*g, betweenness);
     betweenness_seconds = betweenness_watch.ElapsedSeconds();
   }
+  if (CancellationRequested(cancel)) return cancel->ToStatus();
   const uint64_t target = core::TargetEdgeCount(*g, options_.p);
 
+  have_state_ = false;
   score_.clear();
   kept_keys_.clear();
   score_.reserve(num_edges);
@@ -216,8 +204,9 @@ StatusOr<DynamicShedResult> ShedSession::FullShed(
 
   const uint64_t steps =
       FullSteps(options_.steps_multiplier, options_.p, num_edges);
-  const uint64_t accepted =
-      RefineKeptSet(&order_, target, steps, options_.seed);
+  EDGESHED_ASSIGN_OR_RETURN(
+      const core::SwapChainStats refine,
+      RefineKeptSet(target, steps, options_.seed, cancel));
   order_target_ = target;
 
   have_state_ = true;
@@ -228,8 +217,9 @@ StatusOr<DynamicShedResult> ShedSession::FullShed(
   result.seconds = watch.ElapsedSeconds();
   result.stats = {
       {"betweenness_seconds", betweenness_seconds},
-      {"steps", static_cast<double>(steps)},
-      {"swaps_accepted", static_cast<double>(accepted)},
+      {"refine_seconds", refine.seconds},
+      {"steps", static_cast<double>(refine.steps)},
+      {"swaps_accepted", static_cast<double>(refine.swaps_accepted)},
   };
   return result;
 }
@@ -237,10 +227,13 @@ StatusOr<DynamicShedResult> ShedSession::FullShed(
 StatusOr<DynamicShedResult> ShedSession::IncrementalShed(
     const std::shared_ptr<const DeltaGraph>& snap,
     const std::vector<graph::MutationBatch>& batches,
-    const std::vector<graph::NodeId>& dirty) {
+    const std::vector<graph::NodeId>& dirty,
+    const CancellationToken* cancel) {
   Stopwatch watch;
   const uint64_t version = snap->version();
   Stopwatch stage_watch;
+  // The batch maintenance below rewrites the state in place.
+  have_state_ = false;
 
   // Per-batch state maintenance: drop deleted edges from the score table
   // and the kept set, and collect the endpoints whose base degree changed.
@@ -318,6 +311,7 @@ StatusOr<DynamicShedResult> ShedSession::IncrementalShed(
     EDGESHED_CHECK(local.ok())
         << "dirty-region subgraph build failed: " << local.status().ToString();
     analytics::BetweennessOptions betweenness = options_.betweenness;
+    betweenness.cancel = cancel;
     if (options_.threads > 0) betweenness.threads = options_.threads;
     // The local pass exists to undercut a full ranking. Exact Brandes
     // sweeps every region vertex, and uniform edge mutations bias the
@@ -340,6 +334,7 @@ StatusOr<DynamicShedResult> ShedSession::IncrementalShed(
     const std::vector<graph::EdgeId> ranked_local =
         analytics::EdgesByBetweennessDescending(*local, betweenness);
     local_rank_seconds = local_watch.ElapsedSeconds();
+    if (CancellationRequested(cancel)) return cancel->ToStatus();
     // Splice: the region's previous global rank positions become a slot
     // pool (extended below its floor for net-new edges), and the fresh
     // local order redistributes the slots. The rest of the ranking is
@@ -571,11 +566,11 @@ StatusOr<DynamicShedResult> ShedSession::IncrementalShed(
       full_steps, static_cast<uint64_t>(std::llround(batch_budget)));
   const uint64_t rng_seed =
       options_.seed ^ (0x9e3779b97f4a7c15ULL * version);
-  stage_watch.Restart();
-  const uint64_t accepted = RefineKeptSet(&order_, target, steps, rng_seed);
-  const double refine_seconds = stage_watch.ElapsedSeconds();
+  EDGESHED_ASSIGN_OR_RETURN(const core::SwapChainStats refine,
+                            RefineKeptSet(target, steps, rng_seed, cancel));
   order_target_ = target;
 
+  have_state_ = true;
   state_version_ = version;
   stage_watch.Restart();
   DynamicShedResult result = BuildResult(version);
@@ -593,22 +588,23 @@ StatusOr<DynamicShedResult> ShedSession::IncrementalShed(
       {"region_seconds", region_seconds},
       {"local_rank_seconds", local_rank_seconds},
       {"merge_seconds", merge_seconds},
-      {"refine_seconds", refine_seconds},
+      {"refine_seconds", refine.seconds},
       {"result_seconds", result_seconds},
-      {"steps", static_cast<double>(steps)},
-      {"swaps_accepted", static_cast<double>(accepted)},
+      {"steps", static_cast<double>(refine.steps)},
+      {"swaps_accepted", static_cast<double>(refine.swaps_accepted)},
   };
   return result;
 }
 
-StatusOr<DynamicShedResult> ShedSession::Reshed() {
+StatusOr<DynamicShedResult> ShedSession::Reshed(
+    const CancellationToken* cancel) {
   const std::shared_ptr<const DeltaGraph> snap = graph_->Snapshot();
-  if (!have_state_) return FullShed(snap);
+  if (!have_state_) return FullShed(snap, cancel);
   const std::optional<std::vector<graph::MutationBatch>> batches =
       graph_->BatchesSince(state_version_);
   // History trimmed past this session (or the graph was swapped under it):
   // full restart.
-  if (!batches.has_value()) return FullShed(snap);
+  if (!batches.has_value()) return FullShed(snap, cancel);
   if (batches->empty()) {
     DynamicShedResult result = BuildResult(snap->version());
     result.snapshot = snap;
@@ -647,11 +643,13 @@ StatusOr<DynamicShedResult> ShedSession::Reshed() {
   const double dirty_fraction =
       static_cast<double>(dirty_set.size()) /
       static_cast<double>(num_nodes == 0 ? 1 : num_nodes);
-  if (dirty_fraction > options_.full_rank_dirty_bound) return FullShed(snap);
+  if (dirty_fraction > options_.full_rank_dirty_bound) {
+    return FullShed(snap, cancel);
+  }
 
   std::vector<graph::NodeId> dirty(dirty_set.begin(), dirty_set.end());
   std::sort(dirty.begin(), dirty.end());
-  return IncrementalShed(snap, *batches, dirty);
+  return IncrementalShed(snap, *batches, dirty, cancel);
 }
 
 }  // namespace edgeshed::dyn

@@ -12,9 +12,11 @@
 #include <vector>
 
 #include "analytics/betweenness.h"
+#include "common/cancellation.h"
 #include "common/statusor.h"
 #include "core/discrepancy.h"
 #include "core/shedding.h"
+#include "core/swap_chain.h"
 #include "dyn/versioned_graph.h"
 
 namespace edgeshed::dyn {
@@ -111,8 +113,13 @@ class ShedSession {
  public:
   ShedSession(std::shared_ptr<VersionedGraph> g, DynamicShedOptions options);
 
-  /// Re-sheds against the current version. See class comment.
-  StatusOr<DynamicShedResult> Reshed();
+  /// Re-sheds against the current version. See class comment. `cancel`
+  /// (may be null) is polled by the ranking passes and the swap chain; a
+  /// tripped token returns its status. A re-shed cut short after it began
+  /// rewriting the session's state leaves the session without state, so the
+  /// next Reshed() is a full one and never builds on a half-applied batch.
+  StatusOr<DynamicShedResult> Reshed(
+      const CancellationToken* cancel = nullptr);
 
   bool has_state() const { return have_state_; }
   uint64_t state_version() const { return state_version_; }
@@ -133,25 +140,30 @@ class ShedSession {
   };
 
   StatusOr<DynamicShedResult> FullShed(
-      const std::shared_ptr<const DeltaGraph>& snap);
+      const std::shared_ptr<const DeltaGraph>& snap,
+      const CancellationToken* cancel);
   StatusOr<DynamicShedResult> IncrementalShed(
       const std::shared_ptr<const DeltaGraph>& snap,
       const std::vector<graph::MutationBatch>& batches,
-      const std::vector<graph::NodeId>& dirty);
+      const std::vector<graph::NodeId>& dirty,
+      const CancellationToken* cancel);
 
-  /// Runs `steps` swap attempts over `order` split at `target` (positions
-  /// < target are kept, the rest excluded), mutating disc_ and the slots'
-  /// occupants; returns swaps accepted. An accepted swap trades the two
-  /// edges between their slots — membership and score — while
-  /// each slot keeps its eff, so "kept == top-target by score" survives.
-  uint64_t RefineKeptSet(std::vector<RankedEdge>* order, uint64_t target,
-                         uint64_t steps, uint64_t rng_seed);
+  /// Runs the Phase-2 swap chain (core::RunSwapChain) over order_ split at
+  /// `target` (positions < target are kept, the rest excluded), mutating
+  /// disc_ and the slots' occupants. An accepted swap trades the two edges
+  /// between their slots — membership and score — while each slot keeps
+  /// its eff, so "kept == top-target by score" survives.
+  StatusOr<core::SwapChainStats> RefineKeptSet(
+      uint64_t target, uint64_t steps, uint64_t rng_seed,
+      const CancellationToken* cancel);
 
   DynamicShedResult BuildResult(uint64_t version) const;
 
   std::shared_ptr<VersionedGraph> graph_;
   const DynamicShedOptions options_;
 
+  /// False from the moment a re-shed starts rewriting the state below until
+  /// it completes, so a cancelled re-shed forces the next one to be full.
   bool have_state_ = false;
   uint64_t state_version_ = 0;
   /// Rank-position scores keyed by packed edge key: the edge ranked i-th of

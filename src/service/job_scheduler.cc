@@ -709,7 +709,9 @@ void JobScheduler::WorkerLoop() {
 
 StatusOr<core::SheddingResult> JobScheduler::Execute(
     const JobSpec& spec, const CancellationToken* cancel) {
-  if (spec.method == kIncrementalMethod) return ExecuteIncremental(spec);
+  if (spec.method == kIncrementalMethod) {
+    return ExecuteIncremental(spec, cancel);
+  }
   // The graph load itself is not interruptible (it may be shared with other
   // jobs via the store); check before and after instead.
   if (CancellationRequested(cancel)) return cancel->ToStatus();
@@ -746,7 +748,8 @@ StatusOr<core::SheddingResult> JobScheduler::Execute(
 }
 
 StatusOr<core::SheddingResult> JobScheduler::ExecuteIncremental(
-    const JobSpec& spec) {
+    const JobSpec& spec, const CancellationToken* cancel) {
+  if (CancellationRequested(cancel)) return cancel->ToStatus();
   auto dyn_graph = store_->DynGraph(spec.dataset);
   if (!dyn_graph.ok()) return dyn_graph.status();
   const std::string session_key =
@@ -788,7 +791,7 @@ StatusOr<core::SheddingResult> JobScheduler::ExecuteIncremental(
     }
     slot->session = std::make_unique<dyn::ShedSession>(slot->graph, options);
   }
-  auto reshed = slot->session->Reshed();
+  auto reshed = slot->session->Reshed(cancel);
   if (!reshed.ok()) return reshed.status();
 
   // Map the kept pairs onto EdgeIds in the result version's canonical

@@ -389,10 +389,11 @@ class JobScheduler {
   /// VersionedGraph and re-sheds against the current version. The kept set
   /// is returned as EdgeIds of the result version's canonical edge order —
   /// the same ids a from-scratch job on the materialized graph would
-  /// answer with. Not cooperatively cancellable mid-run (re-sheds after
-  /// small batches are far shorter than the cold run); a Cancel lands when
-  /// the run finishes.
-  StatusOr<core::SheddingResult> ExecuteIncremental(const JobSpec& spec);
+  /// answer with. `cancel` reaches the session's ranking passes and swap
+  /// chain; a re-shed it cuts short leaves the session to start over with a
+  /// full re-shed.
+  StatusOr<core::SheddingResult> ExecuteIncremental(
+      const JobSpec& spec, const CancellationToken* cancel);
   /// Moves `job` to `state`, resolves followers and the result cache,
   /// updates metrics, wakes waiters. A cancelled primary promotes its first
   /// live follower to primary and re-queues it. Caller holds mu_.

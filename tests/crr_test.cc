@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <optional>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/bounds.h"
 #include "core/discrepancy.h"
 #include "core/random_shedding.h"
+#include "core/swap_chain.h"
 #include "graph/generators/generators.h"
 #include "testing/test_graphs.h"
 
@@ -236,6 +243,152 @@ TEST(CrrTest, SmallPAndLargePExtremes) {
   auto high = Crr().Reduce(g, 0.99);
   ASSERT_TRUE(high.ok());
   EXPECT_EQ(high->kept_edges.size(), 297u);
+}
+
+/// Algorithm 1 Phase 2 as the plain loop: no draw-ahead, no prefetch. The
+/// oracle the shared swap kernel must match draw for draw.
+struct ReferenceRun {
+  std::vector<graph::EdgeId> kept;
+  double total_delta = 0.0;
+  uint64_t accepted = 0;
+};
+
+ReferenceRun ReferencePhase2(const graph::Graph& g, double p,
+                             const std::vector<graph::EdgeId>& ranked,
+                             uint64_t steps, uint64_t seed,
+                             bool accept_zero_delta_swaps) {
+  const uint64_t target = TargetEdgeCount(g, p);
+  std::vector<graph::EdgeId> kept(ranked.begin(), ranked.begin() + target);
+  std::vector<graph::EdgeId> excluded(ranked.begin() + target, ranked.end());
+  DegreeDiscrepancy discrepancy(g, p);
+  for (const graph::EdgeId id : kept) {
+    discrepancy.AddEdge(g.edge(id).u, g.edge(id).v);
+  }
+  ReferenceRun run;
+  Rng rng(seed);
+  for (uint64_t step = 0; step < steps && !excluded.empty(); ++step) {
+    const size_t i = rng.UniformIndex(kept.size());
+    const size_t j = rng.UniformIndex(excluded.size());
+    const graph::Edge removal = g.edge(kept[i]);
+    const graph::Edge addition = g.edge(excluded[j]);
+    const double d1 = discrepancy.RemovalDelta(removal.u, removal.v);
+    const double d2 = discrepancy.AdditionDelta(addition.u, addition.v);
+    const double combined = d1 + d2;
+    if (accept_zero_delta_swaps ? combined > 0.0 : combined >= 0.0) continue;
+    discrepancy.RemoveEdge(removal.u, removal.v);
+    discrepancy.AddEdge(addition.u, addition.v);
+    std::swap(kept[i], excluded[j]);
+    ++run.accepted;
+  }
+  std::sort(kept.begin(), kept.end());
+  run.kept = std::move(kept);
+  run.total_delta = discrepancy.TotalDelta();
+  return run;
+}
+
+double Stat(const SheddingResult& result, const std::string& name) {
+  for (const auto& [key, value] : result.stats) {
+    if (key == name) return value;
+  }
+  return -1.0;
+}
+
+/// Crr::Shed against ReferencePhase2 on one graph: a fixed shuffled ranking
+/// (so Phase 2 has work to do) fed through the rank provider, every step
+/// count around the kernel's lookahead (8, 16) and cancel-poll (4096)
+/// boundaries plus the default, both acceptance rules.
+void ExpectMatchesReference(const graph::Graph& g, double p) {
+  std::vector<graph::EdgeId> ranked(g.NumEdges());
+  std::iota(ranked.begin(), ranked.end(), graph::EdgeId{0});
+  Rng shuffle(7);
+  shuffle.Shuffle(&ranked);
+  ShedOptions shed_options;
+  shed_options.p = p;
+  shed_options.rank_provider = [&ranked](const graph::Graph&,
+                                         const analytics::BetweennessOptions&)
+      -> StatusOr<EdgeRanking> { return EdgeRanking{ranked, true, 0.0}; };
+  const std::vector<std::optional<uint64_t>> step_counts = {
+      0, 1, 7, 8, 9, 15, 16, 17, 4095, 4096, 4097, std::nullopt};
+  for (const bool accept_zero : {false, true}) {
+    for (const std::optional<uint64_t>& steps : step_counts) {
+      CrrOptions options;
+      options.seed = 99;
+      options.steps_override = steps;
+      options.accept_zero_delta_swaps = accept_zero;
+      const Crr crr(options);
+      SCOPED_TRACE(::testing::Message()
+                   << "steps=" << crr.StepsFor(g, p)
+                   << " accept_zero=" << accept_zero);
+      auto result = crr.Shed(g, shed_options);
+      ASSERT_TRUE(result.ok()) << result.status();
+      const ReferenceRun reference = ReferencePhase2(
+          g, p, ranked, crr.StepsFor(g, p), options.seed, accept_zero);
+      EXPECT_EQ(result->kept_edges, reference.kept);
+      EXPECT_EQ(result->total_delta, reference.total_delta);
+      EXPECT_EQ(Stat(*result, "swaps_accepted"),
+                static_cast<double>(reference.accepted));
+      EXPECT_EQ(Stat(*result, "steps"),
+                static_cast<double>(crr.StepsFor(g, p)));
+    }
+  }
+}
+
+TEST(CrrTest, Phase2MatchesReferenceLoop) {
+  Rng rng(53);
+  ExpectMatchesReference(graph::BarabasiAlbert(300, 3, rng), 0.5);
+}
+
+TEST(CrrTest, Phase2MatchesReferenceLoopWithOneExcludedEdge) {
+  Rng rng(54);
+  const graph::Graph g = graph::BarabasiAlbert(60, 2, rng);
+  // round(p|E|) = |E| - 1: the excluded side is a single slot.
+  const double p = static_cast<double>(g.NumEdges() - 1) /
+                   static_cast<double>(g.NumEdges());
+  ASSERT_EQ(g.NumEdges() - TargetEdgeCount(g, p), 1u);
+  ExpectMatchesReference(g, p);
+}
+
+// The kernel consumes exactly two draws per step, kept before excluded,
+// whatever its lookahead: the rng state after the chain equals that of a
+// plain loop drawing the same pairs. A tripped token stops it.
+TEST(CrrTest, SwapChainDrawsExactlyTwoIndicesPerStep) {
+  struct Slot {
+    graph::Edge edge;
+    graph::NodeId u() const { return edge.u; }
+    graph::NodeId v() const { return edge.v; }
+  };
+  const graph::Graph g = PaperExampleGraph();
+  for (const uint64_t steps : {0, 1, 15, 16, 17, 100}) {
+    std::vector<Slot> slots;
+    for (const graph::Edge& e : g.edges()) slots.push_back(Slot{e});
+    const size_t target = TargetEdgeCount(g, 0.4);
+    DegreeDiscrepancy discrepancy(g, 0.4);
+    for (size_t i = 0; i < target; ++i) {
+      discrepancy.AddEdge(slots[i].u(), slots[i].v());
+    }
+    Rng rng(5);
+    auto stats = RunSwapChain(
+        slots.data(), target, slots.data() + target, slots.size() - target,
+        steps, /*accept_zero_delta_swaps=*/false, &rng, &discrepancy,
+        /*cancel=*/nullptr, [](Slot& a, Slot& b) { std::swap(a, b); });
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->steps, steps);
+    Rng reference(5);
+    for (uint64_t step = 0; step < steps; ++step) {
+      reference.UniformIndex(target);
+      reference.UniformIndex(slots.size() - target);
+    }
+    EXPECT_EQ(rng.Next(), reference.Next()) << "steps=" << steps;
+
+    CancellationToken token;
+    token.Cancel();
+    auto cancelled = RunSwapChain(
+        slots.data(), target, slots.data() + target, slots.size() - target,
+        steps, /*accept_zero_delta_swaps=*/false, &rng, &discrepancy, &token,
+        [](Slot& a, Slot& b) { std::swap(a, b); });
+    // The poll runs before step 0, so only an empty chain completes.
+    EXPECT_EQ(cancelled.ok(), steps == 0) << "steps=" << steps;
+  }
 }
 
 TEST(CrrTest, NameIsStable) {

@@ -7,6 +7,7 @@
 #include <set>
 #include <vector>
 
+#include "common/cancellation.h"
 #include "common/random.h"
 #include "core/crr.h"
 #include "core/discrepancy.h"
@@ -120,6 +121,41 @@ TEST(DynShedSession, IncrementalReshedKeepsBudgetAndExactDelta) {
   core::DegreeDiscrepancy exact(*rebuilt, 0.5);
   for (const Edge& e : result->kept) exact.AddEdge(e.u, e.v);
   EXPECT_NEAR(result->total_delta, exact.RecomputeTotalDelta(), 1e-6);
+}
+
+// A re-shed cut short after it began rewriting the session's state must not
+// leave that state for the next re-shed to build on: the next one is full
+// and answers exactly what a cold CRR of the version would.
+TEST(DynShedSession, CancelledReshedLeavesNextReshedFull) {
+  auto vg = std::make_shared<VersionedGraph>(RandomGraph(150, 350, 23));
+  ShedSession session(vg, DynamicShedOptions{});
+  CancellationToken tripped;
+  tripped.Cancel();
+  // A cold re-shed stops after its ranking pass, before it touches state.
+  EXPECT_EQ(session.Reshed(&tripped).status().code(), StatusCode::kCancelled);
+  EXPECT_FALSE(session.has_state());
+  ASSERT_TRUE(session.Reshed().ok());
+  ASSERT_TRUE(session.has_state());
+
+  // An incremental re-shed applies the batch to the state before its
+  // dirty-region ranking notices the token.
+  ASSERT_TRUE(
+      vg->ApplyBatch(Batch({{3, 77}, {9, 120}}, {{0, 1}, {5, 6}})).ok());
+  EXPECT_EQ(session.Reshed(&tripped).status().code(), StatusCode::kCancelled);
+  EXPECT_FALSE(session.has_state());
+
+  const CancellationToken expired(CancellationToken::Clock::now());
+  EXPECT_EQ(session.Reshed(&expired).status().code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_FALSE(session.has_state());
+
+  auto next = session.Reshed();
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_TRUE(next->full_rank);
+  EXPECT_EQ(next->version, 1u);
+  auto rebuilt = vg->Snapshot()->Materialize();
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_EQ(next->kept, CrrKeptEdges(*rebuilt, 0.5, 42));
 }
 
 TEST(DynShedSession, NoopReshedReturnsCurrentState) {

@@ -3,15 +3,19 @@
 // "crr-inc" incremental re-shedding sessions (DESIGN.md §15).
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <memory>
 #include <set>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "core/shedder_factory.h"
 #include "core/shedding.h"
 #include "dyn/versioned_graph.h"
 #include "graph/mutation_io.h"
@@ -64,6 +68,37 @@ graph::Graph RandomGraph(graph::NodeId n, int extra_edges, uint64_t seed) {
   list.reserve(edges.size());
   for (const auto& [u, v] : edges) list.push_back({u, v});
   return MustBuild(n, std::move(list));
+}
+
+void WaitUntilRunning(JobScheduler& scheduler, JobId id) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < deadline) {
+    auto status = scheduler.GetStatus(id);
+    ASSERT_TRUE(status.ok());
+    if (status->state == JobState::kRunning) return;
+    ASSERT_EQ(status->state, JobState::kQueued)
+        << "job went terminal before it could be observed running";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  FAIL() << "job " << id << " was never observed running";
+}
+
+double Stat(const JobResult& result, const std::string& name) {
+  for (const auto& [key, value] : result->stats) {
+    if (key == name) return value;
+  }
+  return -1.0;
+}
+
+/// What a from-scratch CRR job answers on `g` at the scheduler's seed.
+void ExpectMatchesColdCrr(const JobResult& result, const graph::Graph& g) {
+  auto crr = core::MakeShedderByName("crr", 42);
+  ASSERT_TRUE(crr.ok());
+  auto cold = (*crr)->Reduce(g, 0.5);
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  EXPECT_EQ(result->kept_edges, cold->kept_edges);
+  EXPECT_DOUBLE_EQ(result->total_delta, cold->total_delta);
 }
 
 // ---------------------------------------------------------------------------
@@ -302,6 +337,70 @@ TEST(JobSchedulerDynTest, CrrIncSessionsAreBoundedLru) {
   EXPECT_EQ(recreated->kept_edges.size(), target);
   EXPECT_EQ(metrics.GaugeValue("scheduler.dyn_sessions"),
             static_cast<int64_t>(JobScheduler::kMaxDynSessions));
+}
+
+// A crr-inc job is cancellable while it runs, and the session it cut short
+// answers the next crr-inc like a cold CRR of that version. The wide batch
+// (250 spine deletes dirty 500 of 1500 vertices, past the 25% bound) makes
+// the cancelled re-shed a full one, long enough to be caught running.
+TEST(JobSchedulerDynTest, CrrIncCancelledWhileRunningThenMatchesCold) {
+  obs::MetricsRegistry metrics;
+  GraphStore store({}, &metrics);
+  RegisterGraph(store, "g", RandomGraph(1500, 3000, 21));
+  JobScheduler scheduler(&store, &metrics, {.workers = 1});
+  const JobSpec spec{"g", "crr-inc", 0.5, 42};
+  auto warm = scheduler.Submit(spec);
+  ASSERT_TRUE(warm.ok());
+  ASSERT_TRUE(scheduler.Wait(*warm).ok());
+
+  std::vector<graph::Edge> deletes;
+  for (graph::NodeId u = 0; u < 500; u += 2) deletes.push_back({u, u + 1});
+  ASSERT_TRUE(store.ApplyMutations("g", Batch({}, deletes)).ok());
+
+  auto doomed = scheduler.Submit(spec);
+  ASSERT_TRUE(doomed.ok());
+  WaitUntilRunning(scheduler, *doomed);
+  ASSERT_TRUE(scheduler.Cancel(*doomed).ok());
+  EXPECT_EQ(scheduler.Wait(*doomed).status().code(), StatusCode::kCancelled);
+  EXPECT_GE(metrics.CounterValue("scheduler.cancelled_while_running"), 1u);
+
+  auto next = scheduler.Submit(spec);
+  ASSERT_TRUE(next.ok());
+  auto result = scheduler.Wait(*next);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(Stat(*result, "version"), 1.0);
+  EXPECT_EQ(Stat(*result, "full_rank"), 1.0);
+  auto mutated = store.Get("g");
+  ASSERT_TRUE(mutated.ok());
+  ExpectMatchesColdCrr(*result, **mutated);
+}
+
+// The job's deadline reaches the session: a cold crr-inc far longer than
+// its 20 ms budget ends DeadlineExceeded instead of running to the end (a
+// job dispatched after its deadline ends the same way), and the next one
+// matches a cold CRR.
+TEST(JobSchedulerDynTest, CrrIncObeysDeadline) {
+  obs::MetricsRegistry metrics;
+  GraphStore store({}, &metrics);
+  const graph::Graph g = RandomGraph(1500, 3000, 22);
+  RegisterGraph(store, "g", g);
+  JobScheduler scheduler(&store, &metrics, {.workers = 1});
+  JobSpec spec{"g", "crr-inc", 0.5, 42};
+  spec.deadline = std::chrono::milliseconds(20);
+  auto doomed = scheduler.Submit(spec);
+  ASSERT_TRUE(doomed.ok());
+  EXPECT_EQ(scheduler.Wait(*doomed).status().code(),
+            StatusCode::kDeadlineExceeded);
+  auto status = scheduler.GetStatus(*doomed);
+  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(status->state, JobState::kCancelled);
+
+  spec.deadline = std::chrono::milliseconds(0);
+  auto next = scheduler.Submit(spec);
+  ASSERT_TRUE(next.ok());
+  auto result = scheduler.Wait(*next);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ExpectMatchesColdCrr(*result, g);
 }
 
 TEST(JobSchedulerDynTest, CrrIncIsNotAKnownStaticShedder) {
