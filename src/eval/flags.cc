@@ -1,5 +1,6 @@
 #include "eval/flags.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <string_view>
 
@@ -50,6 +51,14 @@ bool Flags::GetBool(const std::string& name, bool default_value) const {
   auto it = values_.find(name);
   if (it == values_.end()) return default_value;
   return it->second != "false" && it->second != "0";
+}
+
+std::vector<std::string> Flags::Names() const {
+  std::vector<std::string> names;
+  names.reserve(values_.size());
+  for (const auto& [name, value] : values_) names.push_back(name);
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
 }  // namespace edgeshed::eval

@@ -10,7 +10,8 @@ namespace edgeshed::eval {
 
 /// Minimal command-line parser for the bench/example binaries.
 /// Accepts "--name=value", "--name value", and bare "--flag" (= "true").
-/// Unknown flags are kept and can be listed for error reporting.
+/// Every parsed name is kept; Names() lists them so a caller can reject the
+/// ones it does not know.
 class Flags {
  public:
   Flags(int argc, char** argv);
@@ -21,6 +22,9 @@ class Flags {
   double GetDouble(const std::string& name, double default_value) const;
   int64_t GetInt(const std::string& name, int64_t default_value) const;
   bool GetBool(const std::string& name, bool default_value) const;
+
+  /// Names of every parsed flag, sorted.
+  std::vector<std::string> Names() const;
 
   /// Positional (non-flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }

@@ -25,6 +25,14 @@ bool IsWouldBlock(const Status& status) {
   return status.code() == StatusCode::kDeadlineExceeded;
 }
 
+/// The one place a response is framed: the status envelope, followed by the
+/// body when the status is OK.
+std::string ResponseFrame(MessageType type, const StatusOr<std::string>& body) {
+  return EncodeFrame(type, body.ok()
+                               ? EncodeResponsePayload(Status::OK(), *body)
+                               : EncodeResponsePayload(body.status()));
+}
+
 }  // namespace
 
 RpcServer::RpcServer(service::GraphStore* store,
@@ -261,11 +269,11 @@ void RpcServer::AcceptNew(std::chrono::steady_clock::time_point now) {
       if (instruments_.rejected_overload != nullptr) {
         instruments_.rejected_overload->Increment();
       }
-      const std::string frame = EncodeFrame(
-          MessageType::kErrorResponse,
-          EncodeResponsePayload(Status::ResourceExhausted(StrFormat(
-              "connection limit reached (%zu)", options_.max_connections))));
-      [[maybe_unused]] Status ignored = SendAll(fd, frame);
+      [[maybe_unused]] Status ignored = SendAll(
+          fd, ResponseFrame(MessageType::kErrorResponse,
+                            Status::ResourceExhausted(StrFormat(
+                                "connection limit reached (%zu)",
+                                options_.max_connections))));
       CloseFd(fd);
       continue;
     }
@@ -316,8 +324,7 @@ void RpcServer::ReadFromConnection(Connection& conn,
       if (instruments_.malformed_frames != nullptr) {
         instruments_.malformed_frames->Increment();
       }
-      EnqueueResponse(conn, MessageType::kErrorResponse,
-                      EncodeResponsePayload(decoded.error));
+      EnqueueResponse(conn, MessageType::kErrorResponse, decoded.error);
       conn.closing = true;
       offset = conn.inbuf.size();
       break;
@@ -341,10 +348,10 @@ void RpcServer::HandleDecodedFrame(Connection& conn, Frame frame) {
     }
     EnqueueResponse(
         conn, MessageType::kErrorResponse,
-        EncodeResponsePayload(Status::InvalidArgument(StrFormat(
+        Status::InvalidArgument(StrFormat(
             "expected a request frame, got %.*s",
             static_cast<int>(MessageTypeToString(frame.type).size()),
-            MessageTypeToString(frame.type).data()))));
+            MessageTypeToString(frame.type).data())));
     conn.closing = true;
     return;
   }
@@ -353,13 +360,10 @@ void RpcServer::HandleDecodedFrame(Connection& conn, Frame frame) {
     // Pings never leave the loop thread: they measure transport liveness,
     // not dispatch capacity, and must work even at max_inflight.
     PingMessage ping;
-    if (Status status = DecodePing(frame.payload, &ping); !status.ok()) {
-      EnqueueResponse(conn, MessageType::kPingResponse,
-                      EncodeResponsePayload(status));
-      return;
-    }
+    const Status decoded = DecodePing(frame.payload, &ping);
     EnqueueResponse(conn, MessageType::kPingResponse,
-                    EncodeResponsePayload(Status::OK(), EncodePing(ping)));
+                    decoded.ok() ? StatusOr<std::string>(EncodePing(ping))
+                                 : decoded);
     return;
   }
 
@@ -376,10 +380,9 @@ void RpcServer::HandleDecodedFrame(Connection& conn, Frame frame) {
     if (instruments_.rejected_overload != nullptr) {
       instruments_.rejected_overload->Increment();
     }
-    EnqueueResponse(
-        conn, ResponseTypeFor(frame.type),
-        EncodeResponsePayload(Status::ResourceExhausted(StrFormat(
-            "server at max in-flight requests (%zu)", hard_cap))));
+    EnqueueResponse(conn, ResponseTypeFor(frame.type),
+                    Status::ResourceExhausted(StrFormat(
+                        "server at max in-flight requests (%zu)", hard_cap)));
     return;
   }
   double pressure = 0.0;
@@ -405,8 +408,8 @@ void RpcServer::HandleDecodedFrame(Connection& conn, Frame frame) {
 }
 
 void RpcServer::EnqueueResponse(Connection& conn, MessageType type,
-                                std::string_view payload) {
-  conn.outbuf.append(EncodeFrame(type, payload));
+                                const StatusOr<std::string>& body) {
+  conn.outbuf.append(ResponseFrame(type, body));
 }
 
 void RpcServer::FlushConnection(Connection& conn) {
@@ -501,33 +504,33 @@ std::string RpcServer::HandleRequest(const Frame& frame, double pressure) {
                          static_cast<int>(MessageTypeToString(frame.type).size()),
                          MessageTypeToString(frame.type).data()));
 
-  std::string response;
+  MessageType response_type = ResponseTypeFor(frame.type);
+  StatusOr<std::string> body = Status::Internal("unroutable request type");
   switch (frame.type) {
     case MessageType::kShedRequest:
-      response = HandleShed(frame.payload, pressure);
+      body = HandleShed(frame.payload, pressure);
       break;
     case MessageType::kWaitRequest:
-      response = HandleWait(frame.payload);
+      body = HandleWait(frame.payload);
       break;
     case MessageType::kGetStatusRequest:
-      response = HandleGetStatus(frame.payload);
+      body = HandleGetStatus(frame.payload);
       break;
     case MessageType::kCancelRequest:
-      response = HandleCancel(frame.payload);
+      body = HandleCancel(frame.payload);
       break;
     case MessageType::kListDatasetsRequest:
-      response = HandleListDatasets(frame.payload);
+      body = HandleListDatasets(frame.payload);
       break;
     case MessageType::kApplyMutationsRequest:
-      response = HandleApplyMutations(frame.payload);
+      body = HandleApplyMutations(frame.payload);
       break;
     default:
       // Ping is loop-inline and non-requests never reach dispatch.
-      response = EncodeFrame(
-          MessageType::kErrorResponse,
-          EncodeResponsePayload(Status::Internal("unroutable request type")));
+      response_type = MessageType::kErrorResponse;
       break;
   }
+  std::string response = ResponseFrame(response_type, body);
 
   span.End();
   if (instruments_.rpc_seconds != nullptr) {
@@ -539,35 +542,34 @@ std::string RpcServer::HandleRequest(const Frame& frame, double pressure) {
   return response;
 }
 
-Status RpcServer::WaitForResult(uint64_t job_id, ResultSummary* summary) {
-  auto result = scheduler_->Wait(job_id);
-  if (!result.ok()) return result.status();
-  const core::SheddingResult& shed = **result;
-  summary->job_id = job_id;
-  summary->kept_edges = shed.kept_edges.size();
-  summary->total_delta = shed.total_delta;
-  summary->average_delta = shed.average_delta;
-  summary->reduction_seconds = shed.reduction_seconds;
-  summary->stats = shed.stats;
+StatusOr<ResultSummary> RpcServer::WaitForResult(uint64_t job_id) {
+  EDGESHED_ASSIGN_OR_RETURN(service::JobResult result,
+                            scheduler_->Wait(job_id));
+  const core::SheddingResult& shed = *result;
+  ResultSummary summary;
+  summary.job_id = job_id;
+  summary.kept_edges = shed.kept_edges.size();
+  summary.total_delta = shed.total_delta;
+  summary.average_delta = shed.average_delta;
+  summary.reduction_seconds = shed.reduction_seconds;
+  summary.stats = shed.stats;
   if (auto status = scheduler_->GetStatus(job_id); status.ok()) {
-    summary->deduplicated = status->deduplicated;
-    summary->applied_method = status->applied_method;
-    summary->applied_p = status->applied_p;
-    summary->degrade_kind = static_cast<uint8_t>(status->degrade_kind);
-    if (summary->degrade_kind != 0 &&
+    summary.deduplicated = status->deduplicated;
+    summary.applied_method = status->applied_method;
+    summary.applied_p = status->applied_p;
+    summary.degrade_kind = static_cast<uint8_t>(status->degrade_kind);
+    if (summary.degrade_kind != 0 &&
         instruments_.degraded_applied != nullptr) {
       instruments_.degraded_applied->Increment();
     }
   }
-  return Status::OK();
+  return summary;
 }
 
-std::string RpcServer::HandleShed(std::string_view payload, double pressure) {
+StatusOr<std::string> RpcServer::HandleShed(std::string_view payload,
+                                            double pressure) {
   ShedRequest request;
-  if (Status status = DecodeShedRequest(payload, &request); !status.ok()) {
-    return EncodeFrame(MessageType::kShedResponse,
-                       EncodeResponsePayload(status));
-  }
+  EDGESHED_RETURN_IF_ERROR(DecodeShedRequest(payload, &request));
   service::JobSpec spec;
   spec.dataset = request.dataset;
   spec.method = request.method;
@@ -581,118 +583,75 @@ std::string RpcServer::HandleShed(std::string_view payload, double pressure) {
   spec.pressure = pressure;
   if (!request.output.empty()) {
     if (options_.output_dir.empty()) {
-      return EncodeFrame(
-          MessageType::kShedResponse,
-          EncodeResponsePayload(Status::InvalidArgument(
-              "this server has no output directory (start it with "
-              "--shard_dir to accept output snapshots)")));
+      return Status::InvalidArgument(
+          "this server has no output directory (start it with "
+          "--shard_dir to accept output snapshots)");
     }
     if (!service::IsSafeDatasetName(request.output)) {
-      return EncodeFrame(
-          MessageType::kShedResponse,
-          EncodeResponsePayload(Status::InvalidArgument(StrFormat(
-              "unsafe output name '%s'", request.output.c_str()))));
+      return Status::InvalidArgument(
+          StrFormat("unsafe output name '%s'", request.output.c_str()));
     }
     spec.output_path = options_.output_dir + "/" + request.output + ".esg";
   }
-  auto id = scheduler_->Submit(spec);
-  if (!id.ok()) {
-    return EncodeFrame(MessageType::kShedResponse,
-                       EncodeResponsePayload(id.status()));
-  }
   ShedResponse response;
-  response.job_id = *id;
+  EDGESHED_ASSIGN_OR_RETURN(response.job_id, scheduler_->Submit(spec));
   if (request.wait) {
-    if (Status status = WaitForResult(*id, &response.result); !status.ok()) {
-      return EncodeFrame(MessageType::kShedResponse,
-                         EncodeResponsePayload(status));
-    }
+    EDGESHED_ASSIGN_OR_RETURN(response.result,
+                              WaitForResult(response.job_id));
     response.has_result = true;
   }
-  return EncodeFrame(
-      MessageType::kShedResponse,
-      EncodeResponsePayload(Status::OK(), EncodeShedResponseBody(response)));
+  return EncodeShedResponseBody(response);
 }
 
-std::string RpcServer::HandleWait(std::string_view payload) {
+StatusOr<std::string> RpcServer::HandleWait(std::string_view payload) {
   JobIdRequest request;
-  if (Status status = DecodeJobIdRequest(payload, &request); !status.ok()) {
-    return EncodeFrame(MessageType::kWaitResponse,
-                       EncodeResponsePayload(status));
-  }
-  ResultSummary summary;
-  if (Status status = WaitForResult(request.job_id, &summary); !status.ok()) {
-    return EncodeFrame(MessageType::kWaitResponse,
-                       EncodeResponsePayload(status));
-  }
-  return EncodeFrame(MessageType::kWaitResponse,
-                     EncodeResponsePayload(Status::OK(),
-                                           EncodeResultSummaryBody(summary)));
+  EDGESHED_RETURN_IF_ERROR(DecodeJobIdRequest(payload, &request));
+  EDGESHED_ASSIGN_OR_RETURN(ResultSummary summary,
+                            WaitForResult(request.job_id));
+  return EncodeResultSummaryBody(summary);
 }
 
-std::string RpcServer::HandleGetStatus(std::string_view payload) {
+StatusOr<std::string> RpcServer::HandleGetStatus(std::string_view payload) {
   JobIdRequest request;
-  if (Status status = DecodeJobIdRequest(payload, &request); !status.ok()) {
-    return EncodeFrame(MessageType::kGetStatusResponse,
-                       EncodeResponsePayload(status));
-  }
-  auto job = scheduler_->GetStatus(request.job_id);
-  if (!job.ok()) {
-    return EncodeFrame(MessageType::kGetStatusResponse,
-                       EncodeResponsePayload(job.status()));
-  }
+  EDGESHED_RETURN_IF_ERROR(DecodeJobIdRequest(payload, &request));
+  EDGESHED_ASSIGN_OR_RETURN(service::JobStatus job,
+                            scheduler_->GetStatus(request.job_id));
   GetStatusResponse response;
-  response.state = static_cast<uint8_t>(job->state);
-  response.code = WireCodeFromStatus(job->status.code());
-  response.message = job->status.message();
-  response.deduplicated = job->deduplicated;
-  response.queue_seconds = job->queue_seconds;
-  response.run_seconds = job->run_seconds;
-  response.applied_method = job->applied_method;
-  response.applied_p = job->applied_p;
-  response.degrade_kind = static_cast<uint8_t>(job->degrade_kind);
-  return EncodeFrame(
-      MessageType::kGetStatusResponse,
-      EncodeResponsePayload(Status::OK(),
-                            EncodeGetStatusResponseBody(response)));
+  response.state = static_cast<uint8_t>(job.state);
+  response.code = WireCodeFromStatus(job.status.code());
+  response.message = job.status.message();
+  response.deduplicated = job.deduplicated;
+  response.queue_seconds = job.queue_seconds;
+  response.run_seconds = job.run_seconds;
+  response.applied_method = job.applied_method;
+  response.applied_p = job.applied_p;
+  response.degrade_kind = static_cast<uint8_t>(job.degrade_kind);
+  return EncodeGetStatusResponseBody(response);
 }
 
-std::string RpcServer::HandleCancel(std::string_view payload) {
+StatusOr<std::string> RpcServer::HandleCancel(std::string_view payload) {
   JobIdRequest request;
-  if (Status status = DecodeJobIdRequest(payload, &request); !status.ok()) {
-    return EncodeFrame(MessageType::kCancelResponse,
-                       EncodeResponsePayload(status));
-  }
-  const Status cancelled = scheduler_->Cancel(request.job_id);
-  return EncodeFrame(MessageType::kCancelResponse,
-                     EncodeResponsePayload(cancelled));
+  EDGESHED_RETURN_IF_ERROR(DecodeJobIdRequest(payload, &request));
+  EDGESHED_RETURN_IF_ERROR(scheduler_->Cancel(request.job_id));
+  return std::string();
 }
 
-std::string RpcServer::HandleListDatasets(std::string_view payload) {
+StatusOr<std::string> RpcServer::HandleListDatasets(std::string_view payload) {
   if (!payload.empty()) {
-    return EncodeFrame(
-        MessageType::kListDatasetsResponse,
-        EncodeResponsePayload(Status::InvalidArgument(
-            "ListDatasets request carries no payload")));
+    return Status::InvalidArgument("ListDatasets request carries no payload");
   }
   ListDatasetsResponse response;
   response.names = store_->RegisteredNames();
   // Sorted reply regardless of how the store enumerates: client output (and
   // the CLI's) must be deterministic across runs and store implementations.
   std::sort(response.names.begin(), response.names.end());
-  return EncodeFrame(
-      MessageType::kListDatasetsResponse,
-      EncodeResponsePayload(Status::OK(),
-                            EncodeListDatasetsResponseBody(response)));
+  return EncodeListDatasetsResponseBody(response);
 }
 
-std::string RpcServer::HandleApplyMutations(std::string_view payload) {
+StatusOr<std::string> RpcServer::HandleApplyMutations(
+    std::string_view payload) {
   ApplyMutationsRequest request;
-  if (Status status = DecodeApplyMutationsRequest(payload, &request);
-      !status.ok()) {
-    return EncodeFrame(MessageType::kApplyMutationsResponse,
-                       EncodeResponsePayload(status));
-  }
+  EDGESHED_RETURN_IF_ERROR(DecodeApplyMutationsRequest(payload, &request));
   graph::MutationBatch batch;
   batch.inserts.reserve(request.inserts.size());
   for (const auto& [u, v] : request.inserts) {
@@ -702,13 +661,10 @@ std::string RpcServer::HandleApplyMutations(std::string_view payload) {
   for (const auto& [u, v] : request.deletes) {
     batch.deletes.push_back({u, v});
   }
-  auto version = store_->ApplyMutations(request.dataset, std::move(batch));
-  if (!version.ok()) {
-    return EncodeFrame(MessageType::kApplyMutationsResponse,
-                       EncodeResponsePayload(version.status()));
-  }
   ApplyMutationsResponse response;
-  response.version = *version;
+  EDGESHED_ASSIGN_OR_RETURN(
+      response.version,
+      store_->ApplyMutations(request.dataset, std::move(batch)));
   // Overlay/compaction introspection for the caller; the batch is already
   // durably applied, so a failure here would only lose the nice-to-have
   // counters — and DynGraph cannot fail after a successful ApplyMutations.
@@ -720,10 +676,7 @@ std::string RpcServer::HandleApplyMutations(std::string_view payload) {
     response.overlay_deleted = snap->deleted_ids().size();
     response.compacting = (*dyn_graph)->CompactionInProgress() ? 1 : 0;
   }
-  return EncodeFrame(
-      MessageType::kApplyMutationsResponse,
-      EncodeResponsePayload(Status::OK(),
-                            EncodeApplyMutationsResponseBody(response)));
+  return EncodeApplyMutationsResponseBody(response);
 }
 
 }  // namespace edgeshed::net

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/statusor.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
@@ -161,19 +162,21 @@ class RpcServer {
   void CloseConnection(uint64_t conn_id);
   void ApplyCompletions();
   void EnqueueResponse(Connection& conn, MessageType type,
-                       std::string_view payload);
+                       const StatusOr<std::string>& body);
   void PublishConnGauges();
 
   // --- dispatch-thread only ---
+  /// Routes one request and frames its reply; the handlers below return
+  /// only the OK response body, HandleRequest adds the status envelope.
   std::string HandleRequest(const Frame& frame, double pressure);
-  std::string HandleShed(std::string_view payload, double pressure);
-  std::string HandleWait(std::string_view payload);
-  std::string HandleGetStatus(std::string_view payload);
-  std::string HandleCancel(std::string_view payload);
-  std::string HandleListDatasets(std::string_view payload);
-  std::string HandleApplyMutations(std::string_view payload);
-  /// Blocks on the scheduler and renders the finished job as a summary body.
-  Status WaitForResult(uint64_t job_id, ResultSummary* summary);
+  StatusOr<std::string> HandleShed(std::string_view payload, double pressure);
+  StatusOr<std::string> HandleWait(std::string_view payload);
+  StatusOr<std::string> HandleGetStatus(std::string_view payload);
+  StatusOr<std::string> HandleCancel(std::string_view payload);
+  StatusOr<std::string> HandleListDatasets(std::string_view payload);
+  StatusOr<std::string> HandleApplyMutations(std::string_view payload);
+  /// Blocks on the scheduler and renders the finished job as a summary.
+  StatusOr<ResultSummary> WaitForResult(uint64_t job_id);
 
   struct Instruments {
     obs::Counter* requests_total = nullptr;

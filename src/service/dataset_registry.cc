@@ -8,17 +8,30 @@
 
 namespace edgeshed::service {
 
+namespace {
+
+constexpr std::pair<std::string_view, graph::DatasetId> kSurrogates[] = {
+    {"grqc", graph::DatasetId::kCaGrQc},
+    {"hepph", graph::DatasetId::kCaHepPh},
+    {"enron", graph::DatasetId::kEmailEnron},
+    {"livejournal", graph::DatasetId::kComLiveJournal},
+};
+
+}  // namespace
+
+StatusOr<graph::DatasetId> SurrogateDatasetId(std::string_view name) {
+  for (const auto& [surrogate, id] : kSurrogates) {
+    if (surrogate == name) return id;
+  }
+  return Status::NotFound("unknown dataset: " + std::string(name) +
+                          " (grqc|hepph|enron|livejournal)");
+}
+
 Status RegisterSurrogateDatasets(GraphStore& store,
                                  const graph::DatasetOptions& options) {
-  const std::pair<const char*, graph::DatasetId> catalog[] = {
-      {"grqc", graph::DatasetId::kCaGrQc},
-      {"hepph", graph::DatasetId::kCaHepPh},
-      {"enron", graph::DatasetId::kEmailEnron},
-      {"livejournal", graph::DatasetId::kComLiveJournal},
-  };
-  for (const auto& [name, id] : catalog) {
+  for (const auto& [name, id] : kSurrogates) {
     EDGESHED_RETURN_IF_ERROR(store.Register(
-        name, [id = id, options]() -> StatusOr<graph::Graph> {
+        std::string(name), [id = id, options]() -> StatusOr<graph::Graph> {
           return graph::MakeDataset(id, options);
         }));
   }

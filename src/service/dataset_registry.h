@@ -2,11 +2,16 @@
 #define EDGESHED_SERVICE_DATASET_REGISTRY_H_
 
 #include <string>
+#include <string_view>
 
 #include "graph/datasets.h"
 #include "service/graph_store.h"
 
 namespace edgeshed::service {
+
+/// The paper surrogate a CLI dataset name ("grqc", "hepph", "enron",
+/// "livejournal") stands for; NotFound for any other name.
+StatusOr<graph::DatasetId> SurrogateDatasetId(std::string_view name);
 
 /// Registers the four paper surrogates in `store` under the CLI's dataset
 /// names ("grqc", "hepph", "enron", "livejournal"). Each loader calls

@@ -26,6 +26,15 @@ double SecondsBetween(Clock::time_point from, Clock::time_point to) {
 /// method would silently discard its incremental state.
 constexpr std::string_view kIncrementalMethod = "crr-inc";
 
+/// Degradation pressure at which a job steps 1 / 2 / 3 tiers down the cost
+/// ladder (DESIGN.md §13).
+constexpr double kTier1Pressure = 0.75;
+constexpr double kTier2Pressure = 1.0;
+constexpr double kTier3Pressure = 1.5;
+/// Past kTier1Pressure a cached result for the requested method at a
+/// coarser p' >= p - kMaxCoarserPGap is served before any re-tiering.
+constexpr double kMaxCoarserPGap = 0.25;
+
 /// Materializes the kept subgraph G' of `parent` and snapshots it to `path`
 /// for out-of-band consumers (the shed-fleet coordinator reads per-shard
 /// kept subgraphs this way), recording `output_write_seconds` since `watch`
@@ -191,7 +200,7 @@ JobScheduler::TenantQueue& JobScheduler::TenantLocked(
   auto it = tenants_.find(name);
   if (it != tenants_.end()) return it->second;
   TenantQueue tq;
-  TenantConfig config = options_.default_tenant;
+  TenantConfig config;
   auto configured = options_.tenants.find(name);
   if (configured != options_.tenants.end()) config = configured->second;
   tq.weight = std::max<uint32_t>(1, config.weight);
@@ -412,8 +421,7 @@ StatusOr<JobId> JobScheduler::Submit(const JobSpec& spec) {
 }
 
 JobResult JobScheduler::MaybeDegradeLocked(Job& job, uint64_t generation) {
-  const DegradePolicy& policy = options_.degrade;
-  if (!policy.enabled || !job.spec.allow_degrade) return nullptr;
+  if (!options_.degrade.enabled || !job.spec.allow_degrade) return nullptr;
   const double queue_fraction =
       options_.queue_capacity == 0
           ? 0.0
@@ -421,11 +429,11 @@ JobResult JobScheduler::MaybeDegradeLocked(Job& job, uint64_t generation) {
                 static_cast<double>(options_.queue_capacity);
   const double pressure = std::max(job.spec.pressure, queue_fraction);
   int steps = 0;
-  if (pressure >= policy.tier3_pressure) {
+  if (pressure >= kTier3Pressure) {
     steps = 3;
-  } else if (pressure >= policy.tier2_pressure) {
+  } else if (pressure >= kTier2Pressure) {
     steps = 2;
-  } else if (pressure >= policy.tier1_pressure) {
+  } else if (pressure >= kTier1Pressure) {
     steps = 1;
   }
   if (steps == 0) return nullptr;
@@ -433,26 +441,24 @@ JobResult JobScheduler::MaybeDegradeLocked(Job& job, uint64_t generation) {
   // A cached exact answer for the requested spec beats any degradation —
   // let the normal cache-hit path serve it.
   if (result_cache_.Contains(CacheKey(job.spec, generation))) return nullptr;
-  if (policy.serve_cached_coarser_p) {
-    // Next best: an already-computed result for the *requested* method at a
-    // coarser p' < p (within the policy gap). Costs nothing and keeps the
-    // method the caller asked for.
-    auto family = cache_families_.find(FamilyKey(job.spec, generation));
-    if (family != cache_families_.end()) {
-      auto candidate = family->second.lower_bound(job.spec.p);
-      if (candidate != family->second.begin()) {
-        --candidate;  // largest cached p' strictly below the requested p
-        if (job.spec.p - candidate->first <= policy.max_p_gap) {
-          if (std::optional<CachedResult> entry =
-                  result_cache_.Lookup(candidate->second)) {
-            job.applied_p = candidate->first;
-            job.degrade_kind =
-                static_cast<uint8_t>(DegradeKind::kCachedCoarserP);
-            if (instruments_.degraded_cached_p != nullptr) {
-              instruments_.degraded_cached_p->Increment();
-            }
-            return entry->result;
+  // Next best: an already-computed result for the *requested* method at a
+  // coarser p' < p (within kMaxCoarserPGap). Costs nothing and keeps the
+  // method the caller asked for.
+  auto family = cache_families_.find(FamilyKey(job.spec, generation));
+  if (family != cache_families_.end()) {
+    auto candidate = family->second.lower_bound(job.spec.p);
+    if (candidate != family->second.begin()) {
+      --candidate;  // largest cached p' strictly below the requested p
+      if (job.spec.p - candidate->first <= kMaxCoarserPGap) {
+        if (std::optional<CachedResult> entry =
+                result_cache_.Lookup(candidate->second)) {
+          job.applied_p = candidate->first;
+          job.degrade_kind =
+              static_cast<uint8_t>(DegradeKind::kCachedCoarserP);
+          if (instruments_.degraded_cached_p != nullptr) {
+            instruments_.degraded_cached_p->Increment();
           }
+          return entry->result;
         }
       }
     }

@@ -65,18 +65,10 @@ struct TenantConfig {
 /// step the method down core::ShedderCostLadder instead of queueing the
 /// expensive variant; a cached result at a coarser `p` for the *requested*
 /// method is preferred over re-tiering. The applied tier is always recorded
-/// on the job (never silent).
+/// on the job (never silent). The tier thresholds and the coarser-p gap
+/// are constants in job_scheduler.cc.
 struct DegradePolicy {
   bool enabled = false;
-  /// Pressure thresholds for stepping 1 / 2 / 3 tiers down the cost ladder.
-  double tier1_pressure = 0.75;
-  double tier2_pressure = 1.0;
-  double tier3_pressure = 1.5;
-  /// Past tier1_pressure, serve a cached result for the same
-  /// dataset/method/seed at p' <= requested p (within max_p_gap) instead of
-  /// computing anything.
-  bool serve_cached_coarser_p = true;
-  double max_p_gap = 0.25;
 };
 
 /// Configuration for JobScheduler.
@@ -86,11 +78,10 @@ struct JobSchedulerOptions {
   /// Max jobs queued (excluding running/coalesced/cached submissions).
   size_t queue_capacity = 256;
   /// Pre-configured tenants; tenants not listed here are created on first
-  /// use with `default_tenant`. The unnamed tenant ("") always exists, so a
-  /// deployment with no tenant names behaves exactly like the old single
-  /// FIFO (one queue, weight 1, no quota).
+  /// use with a default TenantConfig (weight 1, no quota). The unnamed
+  /// tenant ("") always exists, so a deployment with no tenant names behaves
+  /// exactly like the old single FIFO (one queue, weight 1, no quota).
   std::map<std::string, TenantConfig> tenants;
-  TenantConfig default_tenant;
   DegradePolicy degrade;
   /// Retention bounds for terminal job records. A terminal job is garbage-
   /// collected once more than `max_retained_jobs` terminal records exist
@@ -355,7 +346,8 @@ class JobScheduler {
   static uint64_t ApproxResultBytes(const core::SheddingResult& result);
 
   /// Find-or-create the tenant's queue (config from Options::tenants or
-  /// default_tenant; instruments resolved on creation). Caller holds mu_.
+  /// a default TenantConfig; instruments resolved on creation). Caller
+  /// holds mu_.
   TenantQueue& TenantLocked(const std::string& name);
   /// Drops stale front entries (terminal / already-dispatched / re-laned
   /// jobs) so emptiness checks see live work only. Caller holds mu_.

@@ -65,5 +65,12 @@ TEST(FlagsTest, LastValueWins) {
   EXPECT_DOUBLE_EQ(flags.GetDouble("p", 0.0), 0.9);
 }
 
+TEST(FlagsTest, NamesListsEveryParsedFlagSorted) {
+  auto flags = MakeFlags({"--seed", "42", "run", "--ouput=r.txt", "--full"});
+  EXPECT_EQ(flags.Names(),
+            (std::vector<std::string>{"full", "ouput", "seed"}));
+  EXPECT_TRUE(MakeFlags({"positional"}).Names().empty());
+}
+
 }  // namespace
 }  // namespace edgeshed::eval

@@ -664,15 +664,29 @@ TEST(JobSchedulerTest, CancelQueuedJobIsImmediate) {
   EXPECT_TRUE(scheduler.Wait(*blocker).ok());
 }
 
+/// Run time of a finished job, for comparing a cancelled run against an
+/// uncancelled one of the same spec.
+double RunSeconds(const JobScheduler& scheduler, JobId id) {
+  auto status = scheduler.GetStatus(id);
+  EXPECT_TRUE(status.ok());
+  return status.ok() ? status->run_seconds : 0.0;
+}
+
 // Acceptance: Cancel on a running job trips its token and the kernel
-// actually stops — observed through scheduler.cancelled_while_running.
+// actually stops. The scheduler reports any job cancelled while running as
+// kCancelled whenever its kernel returns, so only the run time shows that
+// the kernel obeyed the token: it must be under half that of an
+// uncancelled run of the same spec.
 TEST(JobSchedulerTest, CancelStopsRunningKernel) {
   obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   RegisterGraph(store, "big", BigCrrGraph());
-  JobScheduler scheduler(&store, &metrics, {.workers = 1});
+  // No rank cache, so the uncancelled run ranks from scratch too.
+  JobScheduler scheduler(&store, &metrics,
+                         {.workers = 1, .rank_cache_byte_budget = 0});
 
-  auto id = scheduler.Submit({"big", "crr", 0.5, 1});
+  const JobSpec spec{"big", "crr", 0.5, 1};
+  auto id = scheduler.Submit(spec);
   ASSERT_TRUE(id.ok());
   WaitUntilRunning(scheduler, *id);
   ASSERT_TRUE(scheduler.Cancel(*id).ok());
@@ -683,6 +697,12 @@ TEST(JobSchedulerTest, CancelStopsRunningKernel) {
   ASSERT_TRUE(status.ok());
   EXPECT_EQ(status->state, JobState::kCancelled);
   EXPECT_GE(metrics.CounterValue("scheduler.cancelled_while_running"), 1u);
+
+  auto uncancelled = scheduler.Submit(spec);
+  ASSERT_TRUE(uncancelled.ok());
+  ASSERT_TRUE(scheduler.Wait(*uncancelled).ok());
+  EXPECT_LT(status->run_seconds,
+            0.5 * RunSeconds(scheduler, *uncancelled));
 }
 
 // Acceptance: a deadline that expires mid-kernel terminates the running job
@@ -854,13 +874,16 @@ TEST(JobSchedulerTest, CancelOfQueuedPrimaryPromotesFollower) {
 }
 
 // Same guarantee when the primary is already running: the token trips, the
-// kernel aborts, and the follower re-runs the spec to completion.
+// kernel aborts (in under half the follower's uncancelled run time), and the
+// follower re-runs the spec to completion.
 TEST(JobSchedulerTest, CancelOfRunningPrimaryPromotesFollower) {
   obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   const graph::Graph big = BigCrrGraph(1500);
   RegisterGraph(store, "big", big);
-  JobScheduler scheduler(&store, &metrics, {.workers = 1});
+  // No rank cache, so the follower ranks from scratch.
+  JobScheduler scheduler(&store, &metrics,
+                         {.workers = 1, .rank_cache_byte_budget = 0});
 
   JobSpec spec{"big", "crr", 0.5, 1};
   auto primary = scheduler.Submit(spec);
@@ -876,6 +899,8 @@ TEST(JobSchedulerTest, CancelOfRunningPrimaryPromotesFollower) {
   auto result = scheduler.Wait(*follower);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_GE(metrics.CounterValue("scheduler.follower_promoted"), 1u);
+  EXPECT_LT(RunSeconds(scheduler, *primary),
+            0.5 * RunSeconds(scheduler, *follower));
 
   auto shedder = core::MakeShedderByName(spec.method, spec.seed);
   ASSERT_TRUE(shedder.ok());
@@ -1427,8 +1452,9 @@ TEST(JobSchedulerQosTest, DegradationServesCachedCoarserP) {
   EXPECT_DOUBLE_EQ(status->applied_p, 0.4);
   EXPECT_EQ(metrics.CounterValue("scheduler.degraded_cached_p"), 1u);
 
-  // A gap beyond max_p_gap disqualifies the cached result: the request is
-  // tier-degraded instead of answered with a wildly coarser p.
+  // A gap beyond the 0.25 coarser-p limit disqualifies the cached result:
+  // the request is tier-degraded instead of answered with a wildly coarser
+  // p.
   JobSpec far = coarse;
   far.p = 0.8;
   far.allow_degrade = true;

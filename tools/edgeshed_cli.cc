@@ -1,90 +1,12 @@
 // edgeshed — command-line front end for the library.
 //
-// Commands:
-//   edgeshed reduce  --input=G.txt --method=crr|bm2|random|local-degree|
-//                    spanning-forest --p=0.5 [--output=R.txt] [--seed=42]
-//                    [--binary_output=R.esg]
-//   edgeshed analyze --input=G.txt [--tasks=degree,components,clustering,
-//                    pagerank,distance] [--top=10]
-//   edgeshed stats   --input=G.txt
-//   edgeshed convert --input=G.any --binary_output=G.esg [--output=G.txt]
-//                    [--page_align=4096] [--chunk_kb=1024]
-//                    [--external --budget_mb=256 [--temp_dir=DIR]]
-//   edgeshed generate --dataset=grqc|hepph|enron|livejournal --scale=1.0
-//                    --output=G.txt [--seed=...]
-//   edgeshed service --jobs=jobs.txt [--workers=N] [--queue=K]
-//                    [--store_budget_mb=M] [--scale=1.0] [--deadline_ms=D]
-//                    [--retention_jobs=N] [--retention_ms=T]
-//                    [--result_cache_mb=M] [--stats_port=P] [--linger_ms=T]
-//                    [--trace_out=trace.json]
-//   edgeshed serve   [--port=P] [--max_connections=N] [--max_inflight=N]
-//                    [--dispatch_threads=N] [--workers=N] [--queue=K]
-//                    [--scale=S] [--store_budget_mb=M]
-//                    [--edge_list=name=path[,name=path...]]
-//                    [--shard_dir=DIR]
-//                    [--tenants=name:weight[:quota],...] [--degrade]
-//                    [--max_pending=N]
-//                    [--stats_port=P] [--serve_ms=T] [--public]
-//   edgeshed client  --op=ping|shed|wait|status|cancel|list|apply
-//                    [--host=H] [--port=P] [--dataset=D] [--method=M]
-//                    [--p=0.5] [--seed=N] [--deadline_ms=T] [--job_id=N]
-//                    [--tenant=NAME] [--priority]
-//                    [--mutations=M.txt] [--insert=u:v,...] [--delete=u:v,...]
-//                    [--no_wait] [--timeout_ms=T] [--retries=N]
-//   edgeshed mutate  --input=G.any --mutations=M.txt [--reshed] [--p=0.5]
-//                    [--seed=42] [--dirty_hops=0] [--decay_half_life=0]
-//                    [--compact_ratio=0.1] [--output=K.txt]
-//                    [--binary_output=G2.esg]
-//   edgeshed coordinate --input=G.txt --shard_dir=DIR
-//                    [--workers=host:port,host:port,...] [--shards=K]
-//                    [--partitioner=hdrf|dbh|hash] [--method=crr] [--p=0.5]
-//                    [--seed=42] [--deadline_ms=T] [--timeout_ms=T]
-//                    [--retries=N] [--poll_ms=T] [--job_tag=NAME]
-//                    [--no_fallback] [--output=R.txt] [--binary_output=R.esg]
-//                    [--stats_port=P] [--linger_ms=T]
-//
-// Every command that takes --input sniffs the file format (SNAP text edge
-// list or "EDGSHED3" snapshot); --format pins it and --mmap=false forces
-// snapshots to be copied onto the heap instead of served zero-copy from a
-// file mapping (graph/source.h, DESIGN.md §14). `convert` re-encodes
-// between the two; with --external it streams a text edge list into a v3
-// snapshot under a fixed memory budget (graph/external_build.h). `service`
-// runs a batch of shedding jobs concurrently through src/service/
-// (GraphStore + JobScheduler) and prints the metrics snapshot; each
-// jobs-file line reads
-//   dataset method p [seed] [deadline_ms]
-// with '#' comments. Without --jobs a built-in demo batch is used.
-//
-// Observability (src/obs/): --stats_port=P serves GET /metrics (Prometheus
-// text), /tracez (chrome://tracing JSON of recent job traces), /statusz (the
-// text dump), and /healthz on 127.0.0.1:P (0 = ephemeral port, printed on
-// startup; negative = off). --linger_ms keeps the process (and the stats
-// server) alive that long after the batch finishes so an external scraper
-// can read the final state. --trace_out writes the trace-event JSON to a
-// file at exit; tracing is enabled whenever --stats_port >= 0 or
-// --trace_out is set.
-//
-// Remote shedding (src/net/): `serve` runs the binary RPC server (loopback
-// by default; --public binds 0.0.0.0) in front of the same GraphStore +
-// JobScheduler until SIGINT/SIGTERM (or --serve_ms elapses); `client` issues
-// one RPC against a running server. A Shed submitted via `client` returns a
-// result identical to the same job run in-process, because the wire layer
-// dispatches onto the identical deterministic scheduler.
-//
-// Dynamic graphs (src/dyn/, DESIGN.md §15): `mutate` replays a mutation
-// file (`+ u v` / `- u v` lines, `---` batch separators) against the input
-// through a VersionedGraph and, with --reshed, runs one incremental
-// re-shedding session across the batch sequence, printing one parseable
-// `batch=K version=V kept=N ...` line per batch. `client --op=apply` sends
-// one ApplyMutations RPC per batch to a running server — the dataset's
-// store generation bumps exactly as if the graph were replaced, so a
-// subsequent remote shed sees the mutated graph.
-//
-// Sharded fleet (src/dist/, DESIGN.md §11): `coordinate` partitions the
-// input across K shards, farms each shard's shed out to the --workers fleet
-// over RPC (workers must run `serve --shard_dir=DIR` on the same shared
-// directory), and merges the kept shards back under the exact global budget.
-// Without --workers every shard sheds locally in-process.
+// Run `edgeshed` with no arguments for every command's usage. The kCommands
+// table at the bottom of this file is the one declaration of each command:
+// its usage line is both the help text and the set of flags it accepts, so
+// the two cannot drift. main() rejects any other flag or stray argument with
+// exit 2 and the command's usage, exits 1 when a command returns any other
+// error, and 0 on success. README.md ("Command-line tool" and the sections
+// after it) walks through every command.
 
 #include <algorithm>
 #include <atomic>
@@ -94,8 +16,11 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <set>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -133,54 +58,30 @@ using namespace edgeshed;
 
 namespace {
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: edgeshed <reduce|analyze|stats|convert|generate|service> "
-               "[flags]\n"
-               "  reduce   --input=G.txt --method=crr --p=0.5 "
-               "[--output=R.txt] [--binary_output=R.esg] [--seed=42]\n"
-               "  analyze  --input=G.txt [--tasks=degree,components,"
-               "clustering,pagerank,distance] [--top=10]\n"
-               "  stats    --input=G.txt\n"
-               "  convert  --input=G.any [--binary_output=G.esg] "
-               "[--output=G.txt] [--page_align=4096] [--chunk_kb=1024] "
-               "[--external --budget_mb=256 [--temp_dir=DIR]]\n"
-               "  generate --dataset=grqc|hepph|enron|livejournal "
-               "--scale=1.0 --output=G.txt [--seed=N]\n"
-               "  service  [--jobs=jobs.txt] [--workers=N] [--queue=K] "
-               "[--store_budget_mb=M] [--scale=1.0] [--deadline_ms=D] "
-               "[--retention_jobs=N] [--retention_ms=T] "
-               "[--result_cache_mb=M] [--rank_cache_mb=M] [--stats_port=P] "
-               "[--linger_ms=T] [--trace_out=trace.json]\n"
-               "  serve    [--port=0] [--max_connections=64] "
-               "[--max_inflight=8] [--dispatch_threads=4] [--workers=N] "
-               "[--queue=K] [--scale=1.0] [--store_budget_mb=M] "
-               "[--edge_list=name=path,...] [--shard_dir=DIR] "
-               "[--tenants=name:weight[:quota],...] [--degrade] "
-               "[--max_pending=N] "
-               "[--stats_port=P] [--serve_ms=T] [--public]\n"
-               "  client   --op=ping|shed|wait|status|cancel|list|apply "
-               "[--host=127.0.0.1] [--port=P] [--dataset=D] [--method=crr] "
-               "[--p=0.5] [--seed=42] [--deadline_ms=T] [--job_id=N] "
-               "[--tenant=NAME] [--priority] [--mutations=M.txt] "
-               "[--insert=u:v,...] [--delete=u:v,...] "
-               "[--no_wait] [--timeout_ms=T] [--retries=N]\n"
-               "  mutate   --input=G.any --mutations=M.txt [--reshed] "
-               "[--p=0.5] [--seed=42] [--dirty_hops=0] "
-               "[--decay_half_life=0] [--compact_ratio=0.1] "
-               "[--output=K.txt] [--binary_output=G2.esg]\n"
-               "  coordinate --input=G.txt --shard_dir=DIR "
-               "[--workers=host:port,...] [--shards=2] "
-               "[--partitioner=hdrf|dbh|hash] [--method=crr] [--p=0.5] "
-               "[--seed=42] [--deadline_ms=T] [--timeout_ms=T] [--retries=N] "
-               "[--poll_ms=50] [--job_tag=fleet] [--no_fallback] "
-               "[--output=R.txt] [--binary_output=R.esg] [--stats_port=P] "
-               "[--linger_ms=T]\n");
-  return 2;
+// A usage error is an InvalidArgument whose message carries this tag; main
+// answers it with the command's usage and exit 2 instead of exit 1.
+constexpr std::string_view kUsageTag = "usage: ";
+
+Status UsageError(std::string_view why) {
+  return Status::InvalidArgument(std::string(kUsageTag) + std::string(why));
 }
 
-/// Shared ingest flags: --input takes either format (sniffed by default,
-/// pinned by --format), --mmap=false forces copy loads of snapshots.
+bool IsUsageError(const Status& status) {
+  return status.code() == StatusCode::kInvalidArgument &&
+         status.message().starts_with(kUsageTag);
+}
+
+/// Re-tags a failure to parse a flag value as a usage error.
+template <typename T>
+StatusOr<T> AsUsage(StatusOr<T> parsed) {
+  if (!parsed.ok()) return UsageError(parsed.status().message());
+  return parsed;
+}
+
+/// Shared ingest flags: --input takes a SNAP text edge list or an
+/// "EDGSHED3" snapshot (sniffed by default, pinned by --format), and
+/// --mmap=false copies a snapshot onto the heap instead of serving it
+/// zero-copy from a file mapping (graph/source.h, DESIGN.md §14).
 StatusOr<graph::LoadedGraph> LoadInput(const eval::Flags& flags) {
   graph::GraphSource source;
   source.path = flags.GetString("input", "");
@@ -208,61 +109,117 @@ graph::SnapshotOptions SnapshotOptionsFromFlags(const eval::Flags& flags) {
   return options;
 }
 
-int CmdReduce(const eval::Flags& flags) {
-  auto input = LoadInput(flags);
-  if (!input.ok()) {
-    std::cerr << input.status() << "\n";
-    return 1;
-  }
-  const std::string method = flags.GetString("method", "crr");
-  const double p = flags.GetDouble("p", 0.5);
-  const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  auto shedder_or = core::MakeShedderByName(method, seed);
-  if (!shedder_or.ok()) {
-    std::cerr << shedder_or.status() << "\n";
-    return Usage();
-  }
-  std::unique_ptr<core::EdgeShedder> shedder = std::move(shedder_or).value();
-  auto result = shedder->Reduce(input->graph, p);
-  if (!result.ok()) {
-    std::cerr << result.status() << "\n";
-    return 1;
-  }
-  graph::Graph reduced = result->BuildReducedGraph(input->graph);
-  std::printf("%s: kept %s / %s edges in %.3fs (avg delta %.4f)\n",
-              shedder->name().c_str(),
-              FormatWithCommas(reduced.NumEdges()).c_str(),
-              FormatWithCommas(input->graph.NumEdges()).c_str(),
-              result->reduction_seconds, result->average_delta);
+/// Writes `g` as a text edge list to --output and as a v3 snapshot to
+/// --binary_output, each when set.
+Status WriteGraph(const eval::Flags& flags, const graph::Graph& g,
+                  std::span<const uint64_t> original_ids = {}) {
   const std::string output = flags.GetString("output", "");
   if (!output.empty()) {
-    Status status = graph::SaveEdgeList(reduced, output);
-    if (!status.ok()) {
-      std::cerr << status << "\n";
-      return 1;
-    }
+    EDGESHED_RETURN_IF_ERROR(graph::SaveEdgeList(g, output));
     std::printf("wrote %s\n", output.c_str());
   }
   const std::string binary_output = flags.GetString("binary_output", "");
   if (!binary_output.empty()) {
-    Status status = graph::SaveBinaryGraph(reduced, binary_output,
-                                           SnapshotOptionsFromFlags(flags));
-    if (!status.ok()) {
-      std::cerr << status << "\n";
-      return 1;
-    }
+    graph::SnapshotOptions options = SnapshotOptionsFromFlags(flags);
+    options.original_ids = original_ids;
+    EDGESHED_RETURN_IF_ERROR(
+        graph::SaveBinaryGraph(g, binary_output, options));
     std::printf("wrote %s\n", binary_output.c_str());
   }
-  return 0;
+  return Status::OK();
 }
 
-int CmdStats(const eval::Flags& flags) {
-  auto input = LoadInput(flags);
-  if (!input.ok()) {
-    std::cerr << input.status() << "\n";
-    return 1;
+/// Metrics and what reads them: a tracer whenever something consumes it
+/// (--stats_port >= 0 or --trace_out; otherwise every span hook is a
+/// no-op), and the stats server on --stats_port (0 = ephemeral, negative =
+/// off). Members are in destruction-safe order: the server reads the rest,
+/// and its handlers hold `this`, so a Telemetry never moves.
+struct Telemetry {
+  explicit Telemetry(const eval::Flags& flags) {
+    if (flags.GetInt("stats_port", -1) >= 0 ||
+        !flags.GetString("trace_out", "").empty()) {
+      tracer = std::make_unique<obs::Tracer>();
+    }
   }
-  const graph::Graph& g = input->graph;
+  Telemetry(const Telemetry&) = delete;
+  Telemetry& operator=(const Telemetry&) = delete;
+
+  /// Serves /metrics, /tracez and /statusz (plus /healthz) when the port
+  /// is not negative.
+  Status StartStatsServer(const eval::Flags& flags) {
+    const int64_t port = flags.GetInt("stats_port", -1);
+    if (port < 0) return Status::OK();
+    obs::StatsServerOptions options;
+    options.port = static_cast<int>(port);
+    stats_server = std::make_unique<obs::StatsServer>(options);
+    stats_server->Handle("/metrics", [this] {
+      return obs::HttpResponse{200, "text/plain; version=0.0.4; charset=utf-8",
+                               obs::PrometheusText(metrics)};
+    });
+    stats_server->Handle("/tracez", [this] {
+      return obs::HttpResponse{200, "application/json; charset=utf-8",
+                               tracer->TraceEventJson()};
+    });
+    stats_server->Handle("/statusz", [this] {
+      return obs::HttpResponse{200, "text/plain; charset=utf-8",
+                               metrics.TextSnapshot()};
+    });
+    EDGESHED_RETURN_IF_ERROR(stats_server->Start());
+    std::printf("stats server on http://127.0.0.1:%d "
+                "(/metrics /tracez /statusz /healthz)\n",
+                stats_server->port());
+    std::fflush(stdout);
+    return Status::OK();
+  }
+
+  /// The end of a batch run: --trace_out dumps the trace, and --linger_ms
+  /// keeps the stats endpoints up that long so external scrapers (CI smoke,
+  /// a curl-ing operator) can read the final counters and traces.
+  Status Finish(const eval::Flags& flags) const {
+    const std::string trace_out = flags.GetString("trace_out", "");
+    if (!trace_out.empty()) {
+      std::ofstream out(trace_out);
+      if (!out) return Status::IOError("cannot write trace file: " + trace_out);
+      out << tracer->TraceEventJson();
+      std::printf("wrote %s (load at chrome://tracing)\n", trace_out.c_str());
+    }
+    const int64_t linger_ms = flags.GetInt("linger_ms", 0);
+    if (linger_ms > 0 && stats_server != nullptr) {
+      std::printf("lingering %lld ms for stats scrapes...\n",
+                  static_cast<long long>(linger_ms));
+      std::fflush(stdout);
+      std::this_thread::sleep_for(std::chrono::milliseconds(linger_ms));
+    }
+    return Status::OK();
+  }
+
+  obs::MetricsRegistry metrics;
+  std::unique_ptr<obs::Tracer> tracer;
+  std::unique_ptr<obs::StatsServer> stats_server;
+};
+
+Status CmdReduce(const eval::Flags& flags) {
+  EDGESHED_ASSIGN_OR_RETURN(graph::LoadedGraph input, LoadInput(flags));
+  EDGESHED_ASSIGN_OR_RETURN(
+      std::unique_ptr<core::EdgeShedder> shedder,
+      AsUsage(core::MakeShedderByName(
+          flags.GetString("method", "crr"),
+          static_cast<uint64_t>(flags.GetInt("seed", 42)))));
+  EDGESHED_ASSIGN_OR_RETURN(
+      core::SheddingResult result,
+      shedder->Reduce(input.graph, flags.GetDouble("p", 0.5)));
+  graph::Graph reduced = result.BuildReducedGraph(input.graph);
+  std::printf("%s: kept %s / %s edges in %.3fs (avg delta %.4f)\n",
+              shedder->name().c_str(),
+              FormatWithCommas(reduced.NumEdges()).c_str(),
+              FormatWithCommas(input.graph.NumEdges()).c_str(),
+              result.reduction_seconds, result.average_delta);
+  return WriteGraph(flags, reduced);
+}
+
+Status CmdStats(const eval::Flags& flags) {
+  EDGESHED_ASSIGN_OR_RETURN(graph::LoadedGraph input, LoadInput(flags));
+  const graph::Graph& g = input.graph;
   auto components = analytics::ConnectedComponents(g);
   std::printf("nodes:       %s\n", FormatWithCommas(g.NumNodes()).c_str());
   std::printf("edges:       %s\n", FormatWithCommas(g.NumEdges()).c_str());
@@ -275,16 +232,12 @@ int CmdStats(const eval::Flags& flags) {
                   : FormatWithCommas(
                         components.sizes[components.LargestComponent()])
                         .c_str());
-  return 0;
+  return Status::OK();
 }
 
-int CmdAnalyze(const eval::Flags& flags) {
-  auto input = LoadInput(flags);
-  if (!input.ok()) {
-    std::cerr << input.status() << "\n";
-    return 1;
-  }
-  const graph::Graph& g = input->graph;
+Status CmdAnalyze(const eval::Flags& flags) {
+  EDGESHED_ASSIGN_OR_RETURN(graph::LoadedGraph input, LoadInput(flags));
+  const graph::Graph& g = input.graph;
   const std::string tasks =
       flags.GetString("tasks", "degree,components,clustering,pagerank");
   Stopwatch watch;
@@ -316,29 +269,25 @@ int CmdAnalyze(const eval::Flags& flags) {
                   analytics::HopPlotFraction(profile, 3),
                   task_watch.ElapsedSeconds());
     } else {
-      std::fprintf(stderr, "unknown task: %.*s\n",
-                   static_cast<int>(task.size()), task.data());
-      return Usage();
+      return UsageError("unknown task: " + std::string(task));
     }
   }
   std::printf("total %.3fs\n", watch.ElapsedSeconds());
-  return 0;
+  return Status::OK();
 }
 
-int CmdConvert(const eval::Flags& flags) {
+Status CmdConvert(const eval::Flags& flags) {
   const std::string binary_output = flags.GetString("binary_output", "");
   const std::string output = flags.GetString("output", "");
   if (binary_output.empty() && output.empty()) {
-    std::cerr << "convert needs --binary_output or --output\n";
-    return Usage();
+    return UsageError("convert needs --binary_output or --output");
   }
 
   // --external streams a text edge list straight into a v3 snapshot with
   // bounded memory — the path for inputs too large to materialize.
   if (flags.GetBool("external", false)) {
     if (binary_output.empty() || !output.empty()) {
-      std::cerr << "--external converts to --binary_output only\n";
-      return Usage();
+      return UsageError("--external converts to --binary_output only");
     }
     graph::ExternalBuildOptions options;
     options.memory_budget_bytes =
@@ -347,68 +296,32 @@ int CmdConvert(const eval::Flags& flags) {
     options.snapshot = SnapshotOptionsFromFlags(flags);
     options.threads = static_cast<int>(flags.GetInt("threads", 0));
     Stopwatch watch;
-    auto stats = graph::BuildSnapshotExternal(
-        flags.GetString("input", ""), binary_output, options);
-    if (!stats.ok()) {
-      std::cerr << stats.status() << "\n";
-      return 1;
-    }
+    EDGESHED_ASSIGN_OR_RETURN(
+        graph::ExternalBuildStats stats,
+        graph::BuildSnapshotExternal(flags.GetString("input", ""),
+                                     binary_output, options));
     std::printf(
         "wrote %s in %.3fs: %s nodes, %s edges (%s input pairs), "
         "%llu+%llu spill runs, %.1f MiB spilled, %.1f MiB peak buffers\n",
         binary_output.c_str(), watch.ElapsedSeconds(),
-        FormatWithCommas(stats->num_nodes).c_str(),
-        FormatWithCommas(stats->num_edges).c_str(),
-        FormatWithCommas(stats->input_edges).c_str(),
-        static_cast<unsigned long long>(stats->edge_runs),
-        static_cast<unsigned long long>(stats->reverse_runs),
-        static_cast<double>(stats->spilled_bytes) / (1 << 20),
-        static_cast<double>(stats->peak_buffer_bytes) / (1 << 20));
-    return 0;
+        FormatWithCommas(stats.num_nodes).c_str(),
+        FormatWithCommas(stats.num_edges).c_str(),
+        FormatWithCommas(stats.input_edges).c_str(),
+        static_cast<unsigned long long>(stats.edge_runs),
+        static_cast<unsigned long long>(stats.reverse_runs),
+        static_cast<double>(stats.spilled_bytes) / (1 << 20),
+        static_cast<double>(stats.peak_buffer_bytes) / (1 << 20));
+    return Status::OK();
   }
 
-  auto input = LoadInput(flags);
-  if (!input.ok()) {
-    std::cerr << input.status() << "\n";
-    return 1;
-  }
-  if (!binary_output.empty()) {
-    graph::SnapshotOptions options = SnapshotOptionsFromFlags(flags);
-    options.original_ids = input->original_ids;
-    Status status =
-        graph::SaveBinaryGraph(input->graph, binary_output, options);
-    if (!status.ok()) {
-      std::cerr << status << "\n";
-      return 1;
-    }
-    std::printf("wrote %s\n", binary_output.c_str());
-  }
-  if (!output.empty()) {
-    Status status = graph::SaveEdgeList(input->graph, output);
-    if (!status.ok()) {
-      std::cerr << status << "\n";
-      return 1;
-    }
-    std::printf("wrote %s\n", output.c_str());
-  }
-  return 0;
+  EDGESHED_ASSIGN_OR_RETURN(graph::LoadedGraph input, LoadInput(flags));
+  return WriteGraph(flags, input.graph, input.original_ids);
 }
 
-int CmdGenerate(const eval::Flags& flags) {
-  const std::string name = flags.GetString("dataset", "grqc");
-  graph::DatasetId id;
-  if (name == "grqc") {
-    id = graph::DatasetId::kCaGrQc;
-  } else if (name == "hepph") {
-    id = graph::DatasetId::kCaHepPh;
-  } else if (name == "enron") {
-    id = graph::DatasetId::kEmailEnron;
-  } else if (name == "livejournal") {
-    id = graph::DatasetId::kComLiveJournal;
-  } else {
-    std::cerr << "unknown dataset: " << name << "\n";
-    return Usage();
-  }
+Status CmdGenerate(const eval::Flags& flags) {
+  EDGESHED_ASSIGN_OR_RETURN(
+      graph::DatasetId id,
+      AsUsage(service::SurrogateDatasetId(flags.GetString("dataset", "grqc"))));
   graph::DatasetOptions options;
   options.scale = flags.GetDouble("scale", 1.0);
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 20210419));
@@ -417,94 +330,88 @@ int CmdGenerate(const eval::Flags& flags) {
               graph::GetDatasetSpec(id).name.c_str(),
               FormatWithCommas(g.NumNodes()).c_str(),
               FormatWithCommas(g.NumEdges()).c_str());
-  const std::string output = flags.GetString("output", "");
-  if (!output.empty()) {
-    Status status = graph::SaveEdgeList(g, output);
-    if (!status.ok()) {
-      std::cerr << status << "\n";
-      return 1;
-    }
-    std::printf("wrote %s\n", output.c_str());
-  }
-  return 0;
+  return WriteGraph(flags, g);
 }
 
-/// Parses one jobs-file line: "dataset method p [seed] [deadline_ms]".
-/// Blank lines and '#' comments yield an empty dataset (caller skips them).
-StatusOr<service::JobSpec> ParseJobLine(const std::string& line) {
-  service::JobSpec spec;
+/// Parses one jobs-file line, "dataset method p [seed] [deadline_ms]", over
+/// `spec`'s defaults. Blank lines and '#' comments yield an empty dataset
+/// (caller skips them).
+StatusOr<service::JobSpec> ParseJobLine(const std::string& line,
+                                        service::JobSpec spec) {
   const std::string_view stripped = StripWhitespace(line);
-  if (stripped.empty() || stripped.front() == '#') {
-    spec.dataset.clear();
-    return spec;
-  }
+  if (stripped.empty() || stripped.front() == '#') return service::JobSpec{};
   std::istringstream in{std::string(stripped)};
-  double p = 0.0;
-  if (!(in >> spec.dataset >> spec.method >> p)) {
+  if (!(in >> spec.dataset >> spec.method >> spec.p)) {
     return Status::InvalidArgument(
         StrFormat("bad job line (want 'dataset method p [seed] "
                   "[deadline_ms]'): %s", line.c_str()));
   }
-  spec.p = p;
   uint64_t seed = 42;
   if (in >> seed) spec.seed = seed;
   int64_t deadline_ms = 0;
-  if (in >> deadline_ms) spec.deadline = std::chrono::milliseconds(deadline_ms);
+  if (in >> deadline_ms && deadline_ms != 0) {
+    spec.deadline = std::chrono::milliseconds(deadline_ms);
+  }
   return spec;
 }
 
-int CmdService(const eval::Flags& flags) {
-  obs::MetricsRegistry metrics;
+/// The in-process service `service` and `serve` share: a GraphStore holding
+/// the paper surrogates and a JobScheduler over it. The scheduler is
+/// declared last, so it is destroyed before the store it reads.
+struct ServingStack {
+  std::unique_ptr<service::GraphStore> store;
+  std::unique_ptr<service::JobScheduler> scheduler;
+};
 
-  // Observability: tracing is on whenever anything can consume it (a stats
-  // server to query /tracez, or a --trace_out dump); otherwise the tracer
-  // stays null and every span hook in the service layer is a no-op.
-  const int64_t stats_port = flags.GetInt("stats_port", -1);
-  const std::string trace_out = flags.GetString("trace_out", "");
-  std::unique_ptr<obs::Tracer> tracer;
-  if (stats_port >= 0 || !trace_out.empty()) {
-    tracer = std::make_unique<obs::Tracer>();
-  }
-
+/// Builds the ServingStack from the flags both commands read; `options`
+/// carries each command's own scheduler settings.
+StatusOr<ServingStack> StartServing(const eval::Flags& flags,
+                                    Telemetry& telemetry,
+                                    service::JobScheduler::Options options) {
+  ServingStack stack;
   service::GraphStore::Options store_options;
   store_options.byte_budget =
       static_cast<uint64_t>(flags.GetInt("store_budget_mb", 256)) << 20;
-  service::GraphStore store(store_options, &metrics, tracer.get());
-
+  stack.store = std::make_unique<service::GraphStore>(
+      store_options, &telemetry.metrics, telemetry.tracer.get());
   graph::DatasetOptions dataset_options;
   dataset_options.scale = flags.GetDouble("scale", 1.0);
   dataset_options.seed =
       static_cast<uint64_t>(flags.GetInt("dataset_seed", 20210419));
-  Status registered = service::RegisterSurrogateDatasets(store,
-                                                         dataset_options);
-  if (!registered.ok()) {
-    std::cerr << registered << "\n";
-    return 1;
-  }
+  EDGESHED_RETURN_IF_ERROR(
+      service::RegisterSurrogateDatasets(*stack.store, dataset_options));
+  options.workers = static_cast<int>(flags.GetInt("workers", 0));
+  options.queue_capacity = static_cast<size_t>(flags.GetInt("queue", 1024));
+  options.rank_cache_byte_budget =
+      static_cast<uint64_t>(flags.GetInt("rank_cache_mb", 128)) << 20;
+  stack.scheduler = std::make_unique<service::JobScheduler>(
+      stack.store.get(), &telemetry.metrics, options, telemetry.tracer.get());
+  return stack;
+}
 
+Status CmdService(const eval::Flags& flags) {
+  // --deadline_ms applies to every spec that does not set its own deadline
+  // in the jobs file; 0 leaves those specs deadline-free.
+  service::JobSpec defaults;
+  defaults.deadline = std::chrono::milliseconds(
+      std::max<int64_t>(0, flags.GetInt("deadline_ms", 0)));
   std::vector<service::JobSpec> specs;
   const std::string jobs_path = flags.GetString("jobs", "");
   if (!jobs_path.empty()) {
     std::ifstream in(jobs_path);
-    if (!in) {
-      std::cerr << "cannot open jobs file: " << jobs_path << "\n";
-      return 1;
-    }
+    if (!in) return Status::IOError("cannot open jobs file: " + jobs_path);
     std::string line;
     while (std::getline(in, line)) {
-      auto spec = ParseJobLine(line);
-      if (!spec.ok()) {
-        std::cerr << spec.status() << "\n";
-        return 1;
-      }
-      if (!spec->dataset.empty()) specs.push_back(std::move(spec).value());
+      EDGESHED_ASSIGN_OR_RETURN(service::JobSpec spec,
+                                ParseJobLine(line, defaults));
+      if (!spec.dataset.empty()) specs.push_back(std::move(spec));
     }
   } else {
     // Demo batch: a method x p sweep on the smallest dataset, each spec
     // submitted twice to exercise the result cache.
     for (const char* method : {"crr", "bm2", "random"}) {
       for (double p : {0.3, 0.5, 0.7}) {
-        service::JobSpec spec;
+        service::JobSpec spec = defaults;
         spec.dataset = "grqc";
         spec.method = method;
         spec.p = p;
@@ -513,66 +420,23 @@ int CmdService(const eval::Flags& flags) {
       }
     }
   }
-  if (specs.empty()) {
-    std::cerr << "no jobs to run\n";
-    return 1;
-  }
+  if (specs.empty()) return Status::InvalidArgument("no jobs to run");
 
-  // --deadline_ms applies to every spec that did not set its own deadline
-  // in the jobs file; 0 leaves those specs deadline-free.
-  const int64_t default_deadline_ms = flags.GetInt("deadline_ms", 0);
-  if (default_deadline_ms > 0) {
-    for (service::JobSpec& spec : specs) {
-      if (spec.deadline.count() == 0) {
-        spec.deadline = std::chrono::milliseconds(default_deadline_ms);
-      }
-    }
-  }
-
-  service::JobScheduler::Options scheduler_options;
-  scheduler_options.workers = static_cast<int>(flags.GetInt("workers", 0));
-  scheduler_options.queue_capacity =
-      static_cast<size_t>(flags.GetInt("queue", 1024));
+  service::JobScheduler::Options options;
   // Never below the batch size: this driver submits everything up front and
   // collects results afterwards, so a smaller retention would GC records
   // before their Wait and report phantom failures.
-  scheduler_options.max_retained_jobs = std::max(
+  options.max_retained_jobs = std::max(
       specs.size(), static_cast<size_t>(flags.GetInt("retention_jobs", 1024)));
-  scheduler_options.job_retention =
+  options.job_retention =
       std::chrono::milliseconds(flags.GetInt("retention_ms", 600000));
-  scheduler_options.result_cache_byte_budget =
+  options.result_cache_byte_budget =
       static_cast<uint64_t>(flags.GetInt("result_cache_mb", 64)) << 20;
-  scheduler_options.rank_cache_byte_budget =
-      static_cast<uint64_t>(flags.GetInt("rank_cache_mb", 128)) << 20;
-  service::JobScheduler scheduler(&store, &metrics, scheduler_options,
-                                  tracer.get());
-
-  std::unique_ptr<obs::StatsServer> stats_server;
-  if (stats_port >= 0) {
-    obs::StatsServerOptions server_options;
-    server_options.port = static_cast<int>(stats_port);
-    stats_server = std::make_unique<obs::StatsServer>(server_options);
-    stats_server->Handle("/metrics", [&metrics] {
-      return obs::HttpResponse{200, "text/plain; version=0.0.4; charset=utf-8",
-                               obs::PrometheusText(metrics)};
-    });
-    stats_server->Handle("/tracez", [&tracer] {
-      return obs::HttpResponse{200, "application/json; charset=utf-8",
-                               tracer->TraceEventJson()};
-    });
-    stats_server->Handle("/statusz", [&metrics] {
-      return obs::HttpResponse{200, "text/plain; charset=utf-8",
-                               metrics.TextSnapshot()};
-    });
-    Status started = stats_server->Start();
-    if (!started.ok()) {
-      std::cerr << started << "\n";
-      return 1;
-    }
-    std::printf("stats server on http://127.0.0.1:%d "
-                "(/metrics /tracez /statusz /healthz)\n",
-                stats_server->port());
-  }
+  Telemetry telemetry(flags);
+  EDGESHED_ASSIGN_OR_RETURN(ServingStack stack,
+                            StartServing(flags, telemetry, options));
+  EDGESHED_RETURN_IF_ERROR(telemetry.StartStatsServer(flags));
+  service::JobScheduler& scheduler = *stack.scheduler;
 
   Stopwatch watch;
   std::vector<std::pair<service::JobId, const service::JobSpec*>> submitted;
@@ -593,47 +457,31 @@ int CmdService(const eval::Flags& flags) {
   for (const auto& [id, spec] : submitted) {
     auto result = scheduler.Wait(id);
     auto status = scheduler.GetStatus(id);
+    std::string outcome;
     if (result.ok()) {
-      std::printf("job %3llu %-12s %-15s p=%.2f kept=%8s%s\n",
-                  static_cast<unsigned long long>(id),
-                  spec->dataset.c_str(), spec->method.c_str(), spec->p,
-                  FormatWithCommas((*result)->kept_edges.size()).c_str(),
-                  status.ok() && status->deduplicated ? "  (cached)" : "");
+      outcome = StrFormat(
+          "kept=%8s%s", FormatWithCommas((*result)->kept_edges.size()).c_str(),
+          status.ok() && status->deduplicated ? "  (cached)" : "");
     } else {
       ++failures;
-      std::printf("job %3llu %-12s %-15s p=%.2f %s\n",
-                  static_cast<unsigned long long>(id),
-                  spec->dataset.c_str(), spec->method.c_str(), spec->p,
-                  result.status().ToString().c_str());
+      outcome = result.status().ToString();
     }
+    std::printf("job %3llu %-12s %-15s p=%.2f %s\n",
+                static_cast<unsigned long long>(id), spec->dataset.c_str(),
+                spec->method.c_str(), spec->p, outcome.c_str());
   }
   scheduler.Shutdown();
   std::printf("\n%zu jobs on %d workers in %.3fs (%d failed, %d rejected)\n\n",
               submitted.size(), scheduler.workers(), watch.ElapsedSeconds(),
               failures, rejected);
-  std::fputs(metrics.TextSnapshot().c_str(), stdout);
+  std::fputs(telemetry.metrics.TextSnapshot().c_str(), stdout);
 
-  if (!trace_out.empty()) {
-    std::ofstream out(trace_out);
-    if (!out) {
-      std::cerr << "cannot write trace file: " << trace_out << "\n";
-      return 1;
-    }
-    out << tracer->TraceEventJson();
-    std::printf("wrote %s (load at chrome://tracing)\n", trace_out.c_str());
+  EDGESHED_RETURN_IF_ERROR(telemetry.Finish(flags));
+  if (failures > 0 || rejected > 0) {
+    return Status::Internal(
+        StrFormat("%d job(s) failed, %d rejected", failures, rejected));
   }
-
-  // Keep the stats endpoints queryable after the batch so external scrapers
-  // (CI smoke, a curl-ing operator) can read the final counters and traces.
-  const int64_t linger_ms = flags.GetInt("linger_ms", 0);
-  if (linger_ms > 0 && stats_server != nullptr) {
-    std::printf("lingering %lld ms for stats scrapes...\n",
-                static_cast<long long>(linger_ms));
-    std::fflush(stdout);
-    std::this_thread::sleep_for(std::chrono::milliseconds(linger_ms));
-  }
-  if (stats_server != nullptr) stats_server->Stop();
-  return failures == 0 && rejected == 0 ? 0 : 1;
+  return Status::OK();
 }
 
 std::atomic<bool> g_signal_stop{false};
@@ -665,86 +513,40 @@ Status ParseTenantsFlag(const std::string& tenants,
   for (std::string_view entry : StrSplit(tenants, ',')) {
     entry = StripWhitespace(entry);
     if (entry.empty()) continue;
-    std::vector<std::string_view> parts;
-    for (std::string_view part : StrSplit(entry, ':')) parts.push_back(part);
-    if (parts.size() < 2 || parts.size() > 3 || parts[0].empty()) {
-      return Status::InvalidArgument(
-          StrFormat("bad --tenants entry (want name:weight[:quota]): %.*s",
-                    static_cast<int>(entry.size()), entry.data()));
+    const std::vector<std::string_view> parts = StrSplit(entry, ':');
+    const auto number = [&parts](size_t i) {
+      return i < parts.size() ? std::atol(std::string(parts[i]).c_str()) : 0;
+    };
+    if (parts.size() < 2 || parts.size() > 3 || parts[0].empty() ||
+        number(1) < 1 || number(2) < 0) {
+      return Status::InvalidArgument(StrFormat(
+          "bad --tenants entry (want name:weight[:quota], weight >= 1, "
+          "quota >= 0): %.*s",
+          static_cast<int>(entry.size()), entry.data()));
     }
-    service::TenantConfig config;
-    const long weight = std::atol(std::string(parts[1]).c_str());
-    if (weight < 1) {
-      return Status::InvalidArgument(
-          StrFormat("--tenants weight for '%.*s' must be >= 1",
-                    static_cast<int>(parts[0].size()), parts[0].data()));
-    }
-    config.weight = static_cast<uint32_t>(weight);
-    if (parts.size() == 3) {
-      const long quota = std::atol(std::string(parts[2]).c_str());
-      if (quota < 0) {
-        return Status::InvalidArgument(
-            StrFormat("--tenants quota for '%.*s' must be >= 0",
-                      static_cast<int>(parts[0].size()), parts[0].data()));
-      }
-      config.max_running = static_cast<size_t>(quota);
-    }
-    (*out)[std::string(parts[0])] = config;
+    (*out)[std::string(parts[0])] = {static_cast<uint32_t>(number(1)),
+                                     static_cast<size_t>(number(2))};
   }
   return Status::OK();
 }
 
-int CmdServe(const eval::Flags& flags) {
-  obs::MetricsRegistry metrics;
-  const int64_t stats_port = flags.GetInt("stats_port", -1);
-  std::unique_ptr<obs::Tracer> tracer;
-  if (stats_port >= 0) tracer = std::make_unique<obs::Tracer>();
-
-  service::GraphStore::Options store_options;
-  store_options.byte_budget =
-      static_cast<uint64_t>(flags.GetInt("store_budget_mb", 256)) << 20;
-  service::GraphStore store(store_options, &metrics, tracer.get());
-
-  graph::DatasetOptions dataset_options;
-  dataset_options.scale = flags.GetDouble("scale", 1.0);
-  dataset_options.seed =
-      static_cast<uint64_t>(flags.GetInt("dataset_seed", 20210419));
-  if (Status registered =
-          service::RegisterSurrogateDatasets(store, dataset_options);
-      !registered.ok()) {
-    std::cerr << registered << "\n";
-    return 1;
-  }
-  if (Status registered =
-          RegisterEdgeListFlag(store, flags.GetString("edge_list", ""));
-      !registered.ok()) {
-    std::cerr << registered << "\n";
-    return 1;
-  }
+Status CmdServe(const eval::Flags& flags) {
+  service::JobScheduler::Options options;
+  EDGESHED_RETURN_IF_ERROR(
+      ParseTenantsFlag(flags.GetString("tenants", ""), &options.tenants));
+  options.degrade.enabled = flags.GetBool("degrade", false);
+  Telemetry telemetry(flags);
+  EDGESHED_ASSIGN_OR_RETURN(ServingStack stack,
+                            StartServing(flags, telemetry, options));
+  EDGESHED_RETURN_IF_ERROR(
+      RegisterEdgeListFlag(*stack.store, flags.GetString("edge_list", "")));
   // Fleet-worker mode: resolve unknown dataset names to shard snapshots in
   // --shard_dir and allow ShedRequest::output to write kept subgraphs there.
   const std::string shard_dir = flags.GetString("shard_dir", "");
   if (!shard_dir.empty()) {
-    service::InstallShardDirFallback(store, shard_dir,
+    service::InstallShardDirFallback(*stack.store, shard_dir,
                                      flags.GetBool("mmap", true));
   }
-
-  service::JobScheduler::Options scheduler_options;
-  scheduler_options.workers = static_cast<int>(flags.GetInt("workers", 0));
-  scheduler_options.queue_capacity =
-      static_cast<size_t>(flags.GetInt("queue", 1024));
-  scheduler_options.rank_cache_byte_budget =
-      static_cast<uint64_t>(flags.GetInt("rank_cache_mb", 128)) << 20;
-  if (Status parsed = ParseTenantsFlag(flags.GetString("tenants", ""),
-                                       &scheduler_options.tenants);
-      !parsed.ok()) {
-    std::cerr << parsed << "\n";
-    return 1;
-  }
-  const bool degrade = flags.GetBool("degrade", false);
-  scheduler_options.degrade.enabled = degrade;
-  service::JobScheduler scheduler(&store, &metrics, scheduler_options,
-                                  tracer.get());
 
   net::RpcServerOptions server_options;
   server_options.port = static_cast<int>(flags.GetInt("port", 0));
@@ -757,46 +559,19 @@ int CmdServe(const eval::Flags& flags) {
       static_cast<int>(flags.GetInt("dispatch_threads", 4));
   server_options.idle_timeout =
       std::chrono::milliseconds(flags.GetInt("idle_timeout_ms", 60000));
-  server_options.degrade_enabled = degrade;
+  server_options.degrade_enabled = options.degrade.enabled;
   server_options.max_pending =
       static_cast<size_t>(flags.GetInt("max_pending", 0));
   server_options.output_dir = shard_dir;
-  net::RpcServer server(&store, &scheduler, &metrics, server_options,
-                        tracer.get());
-  if (Status started = server.Start(); !started.ok()) {
-    std::cerr << started << "\n";
-    return 1;
-  }
+  net::RpcServer server(stack.store.get(), stack.scheduler.get(),
+                        &telemetry.metrics, server_options,
+                        telemetry.tracer.get());
+  EDGESHED_RETURN_IF_ERROR(server.Start());
   std::printf("rpc server on %s:%d (max_connections=%zu max_inflight=%zu)\n",
               server_options.loopback_only ? "127.0.0.1" : "0.0.0.0",
               server.port(), server_options.max_connections,
               server_options.max_inflight);
-
-  std::unique_ptr<obs::StatsServer> stats_server;
-  if (stats_port >= 0) {
-    obs::StatsServerOptions http_options;
-    http_options.port = static_cast<int>(stats_port);
-    stats_server = std::make_unique<obs::StatsServer>(http_options);
-    stats_server->Handle("/metrics", [&metrics] {
-      return obs::HttpResponse{200, "text/plain; version=0.0.4; charset=utf-8",
-                               obs::PrometheusText(metrics)};
-    });
-    stats_server->Handle("/tracez", [&tracer] {
-      return obs::HttpResponse{200, "application/json; charset=utf-8",
-                               tracer->TraceEventJson()};
-    });
-    stats_server->Handle("/statusz", [&metrics] {
-      return obs::HttpResponse{200, "text/plain; charset=utf-8",
-                               metrics.TextSnapshot()};
-    });
-    if (Status started = stats_server->Start(); !started.ok()) {
-      std::cerr << started << "\n";
-      return 1;
-    }
-    std::printf("stats server on http://127.0.0.1:%d "
-                "(/metrics /tracez /statusz /healthz)\n",
-                stats_server->port());
-  }
+  EDGESHED_RETURN_IF_ERROR(telemetry.StartStatsServer(flags));
   std::fflush(stdout);
 
   // Serve until a stop signal (or --serve_ms for bounded runs in scripts).
@@ -814,45 +589,103 @@ int CmdServe(const eval::Flags& flags) {
 
   std::printf("draining...\n");
   server.Stop();
-  scheduler.Shutdown();
-  if (stats_server != nullptr) stats_server->Stop();
-  std::fputs(metrics.TextSnapshot().c_str(), stdout);
-  return 0;
+  stack.scheduler->Shutdown();
+  std::fputs(telemetry.metrics.TextSnapshot().c_str(), stdout);
+  return Status::OK();
 }
 
-/// Parses --insert / --delete flag values: "u:v,u:v,...". Whitespace around
-/// entries is tolerated; validation beyond u32 syntax (self-loops,
-/// duplicates, liveness) is the server's job so errors name one authority.
-Status ParseEdgePairsFlag(const std::string& value, const char* flag,
-                          std::vector<std::pair<uint32_t, uint32_t>>* out) {
+/// Appends the --insert or --delete flag's "u:v,u:v,..." entries to
+/// `out`. Whitespace around entries is tolerated; validation beyond u32
+/// syntax (self-loops, duplicates, liveness) is the server's job so errors
+/// name one authority.
+Status ParseEdgePairsFlag(const eval::Flags& flags, const char* flag,
+                          std::vector<graph::Edge>* out) {
+  const std::string value = flags.GetString(flag, "");
   for (std::string_view entry : StrSplit(value, ',')) {
     entry = StripWhitespace(entry);
     if (entry.empty()) continue;
-    const size_t colon = entry.find(':');
     unsigned long long u = 0;
     unsigned long long v = 0;
     char trailing = '\0';
-    if (colon == std::string_view::npos ||
-        std::sscanf(std::string(entry).c_str(), "%llu:%llu%c", &u, &v,
+    if (std::sscanf(std::string(entry).c_str(), "%llu:%llu%c", &u, &v,
                     &trailing) != 2 ||
         u > UINT32_MAX || v > UINT32_MAX) {
-      return Status::InvalidArgument(
+      return UsageError(
           StrFormat("bad --%s entry (want u:v with u32 ids): %.*s", flag,
                     static_cast<int>(entry.size()), entry.data()));
     }
-    out->emplace_back(static_cast<uint32_t>(u), static_cast<uint32_t>(v));
+    out->push_back({static_cast<uint32_t>(u), static_cast<uint32_t>(v)});
   }
   return Status::OK();
 }
 
-int CmdClient(const eval::Flags& flags) {
+/// `--op=apply`: one ApplyMutationsRequest per batch, so a mutation file's
+/// `---` separators keep their batch-atomicity over the wire; inline
+/// --insert/--delete flags form one extra batch.
+Status ClientApply(const eval::Flags& flags, net::RpcClient& client) {
+  std::vector<graph::MutationBatch> batches;
+  const std::string mutations_path = flags.GetString("mutations", "");
+  if (!mutations_path.empty()) {
+    EDGESHED_ASSIGN_OR_RETURN(batches,
+                              graph::ParseMutationFile(mutations_path));
+  }
+  graph::MutationBatch inline_batch;
+  EDGESHED_RETURN_IF_ERROR(
+      ParseEdgePairsFlag(flags, "insert", &inline_batch.inserts));
+  EDGESHED_RETURN_IF_ERROR(
+      ParseEdgePairsFlag(flags, "delete", &inline_batch.deletes));
+  if (!inline_batch.empty()) batches.push_back(std::move(inline_batch));
+  if (batches.empty()) {
+    return UsageError("--op=apply needs --mutations and/or --insert/--delete");
+  }
+  for (size_t i = 0; i < batches.size(); ++i) {
+    net::ApplyMutationsRequest request;
+    request.dataset = flags.GetString("dataset", "grqc");
+    for (const graph::Edge& e : batches[i].inserts) {
+      request.inserts.emplace_back(e.u, e.v);
+    }
+    for (const graph::Edge& e : batches[i].deletes) {
+      request.deletes.emplace_back(e.u, e.v);
+    }
+    auto response = client.ApplyMutations(request);
+    if (!response.ok()) {
+      return Status(response.status().code(),
+                    StrFormat("batch %zu: %s", i + 1,
+                              response.status().message().c_str()));
+    }
+    std::printf("applied batch=%zu version=%llu live=%llu "
+                "overlay=+%llu/-%llu compacting=%u\n",
+                i + 1,
+                static_cast<unsigned long long>(response->version),
+                static_cast<unsigned long long>(response->live_edges),
+                static_cast<unsigned long long>(response->overlay_inserted),
+                static_cast<unsigned long long>(response->overlay_deleted),
+                response->compacting);
+  }
+  return Status::OK();
+}
+
+/// One finished remote job; `kept=` is what CI smoke compares against the
+/// same reduction run in-process, and a degraded answer says so.
+void PrintResult(uint64_t job_id, const net::ResultSummary& r) {
+  std::string degraded;
+  if (r.degrade_kind != 0) {
+    degraded = StrFormat(" (degraded: method=%s p=%.2f)",
+                         r.applied_method.c_str(), r.applied_p);
+  }
+  std::printf("job=%llu kept=%llu total_delta=%.6f avg_delta=%.6f "
+              "reduction=%.3fs%s%s\n",
+              static_cast<unsigned long long>(job_id),
+              static_cast<unsigned long long>(r.kept_edges), r.total_delta,
+              r.average_delta, r.reduction_seconds,
+              r.deduplicated ? " (cached)" : "", degraded.c_str());
+}
+
+Status CmdClient(const eval::Flags& flags) {
   net::RpcClientOptions options;
   options.host = flags.GetString("host", "127.0.0.1");
   options.port = static_cast<int>(flags.GetInt("port", 0));
-  if (options.port <= 0) {
-    std::cerr << "--port is required\n";
-    return Usage();
-  }
+  if (options.port <= 0) return UsageError("--port is required");
   options.recv_timeout =
       std::chrono::milliseconds(flags.GetInt("timeout_ms", 600000));
   options.max_attempts = static_cast<int>(flags.GetInt("retries", 3)) + 1;
@@ -860,23 +693,15 @@ int CmdClient(const eval::Flags& flags) {
 
   const std::string op = flags.GetString("op", "shed");
   if (op == "ping") {
-    auto echoed = client.Ping(20210419);
-    if (!echoed.ok()) {
-      std::cerr << echoed.status() << "\n";
-      return 1;
-    }
-    std::printf("pong token=%llu\n",
-                static_cast<unsigned long long>(*echoed));
-    return 0;
+    EDGESHED_ASSIGN_OR_RETURN(uint64_t echoed, client.Ping(20210419));
+    std::printf("pong token=%llu\n", static_cast<unsigned long long>(echoed));
+    return Status::OK();
   }
   if (op == "list") {
-    auto names = client.ListDatasets();
-    if (!names.ok()) {
-      std::cerr << names.status() << "\n";
-      return 1;
-    }
-    for (const std::string& name : *names) std::printf("%s\n", name.c_str());
-    return 0;
+    EDGESHED_ASSIGN_OR_RETURN(std::vector<std::string> names,
+                              client.ListDatasets());
+    for (const std::string& name : names) std::printf("%s\n", name.c_str());
+    return Status::OK();
   }
   if (op == "shed") {
     net::ShedRequest request;
@@ -889,175 +714,70 @@ int CmdClient(const eval::Flags& flags) {
     request.wait = !flags.GetBool("no_wait", false);
     request.tenant = flags.GetString("tenant", "");
     request.priority = flags.GetBool("priority", false) ? 1 : 0;
-    auto response = client.Shed(request);
-    if (!response.ok()) {
-      std::cerr << response.status() << "\n";
-      return 1;
-    }
-    if (!response->has_result) {
+    EDGESHED_ASSIGN_OR_RETURN(net::ShedResponse response,
+                              client.Shed(request));
+    if (!response.has_result) {
       std::printf("submitted job=%llu\n",
-                  static_cast<unsigned long long>(response->job_id));
-      return 0;
+                  static_cast<unsigned long long>(response.job_id));
+      return Status::OK();
     }
-    const net::ResultSummary& r = response->result;
-    std::string degraded;
-    if (r.degrade_kind != 0) {
-      degraded = StrFormat(" (degraded: method=%s p=%.2f)",
-                           r.applied_method.c_str(), r.applied_p);
-    }
-    std::printf("job=%llu kept=%llu total_delta=%.6f avg_delta=%.6f "
-                "reduction=%.3fs%s%s\n",
-                static_cast<unsigned long long>(response->job_id),
-                static_cast<unsigned long long>(r.kept_edges),
-                r.total_delta, r.average_delta, r.reduction_seconds,
-                r.deduplicated ? " (cached)" : "", degraded.c_str());
-    return 0;
+    PrintResult(response.job_id, response.result);
+    return Status::OK();
   }
-
-  if (op == "apply") {
-    // One ApplyMutationsRequest per batch: a mutation file's `---`
-    // separators keep their batch-atomicity over the wire, and inline
-    // --insert/--delete flags form one extra batch.
-    const std::string dataset = flags.GetString("dataset", "grqc");
-    std::vector<net::ApplyMutationsRequest> requests;
-    const std::string mutations_path = flags.GetString("mutations", "");
-    if (!mutations_path.empty()) {
-      auto batches = graph::ParseMutationFile(mutations_path);
-      if (!batches.ok()) {
-        std::cerr << batches.status() << "\n";
-        return 1;
-      }
-      for (const graph::MutationBatch& batch : *batches) {
-        net::ApplyMutationsRequest request;
-        request.dataset = dataset;
-        for (const graph::Edge& e : batch.inserts) {
-          request.inserts.emplace_back(e.u, e.v);
-        }
-        for (const graph::Edge& e : batch.deletes) {
-          request.deletes.emplace_back(e.u, e.v);
-        }
-        requests.push_back(std::move(request));
-      }
-    }
-    net::ApplyMutationsRequest inline_request;
-    inline_request.dataset = dataset;
-    if (Status parsed = ParseEdgePairsFlag(flags.GetString("insert", ""),
-                                           "insert", &inline_request.inserts);
-        !parsed.ok()) {
-      std::cerr << parsed << "\n";
-      return Usage();
-    }
-    if (Status parsed = ParseEdgePairsFlag(flags.GetString("delete", ""),
-                                           "delete", &inline_request.deletes);
-        !parsed.ok()) {
-      std::cerr << parsed << "\n";
-      return Usage();
-    }
-    if (!inline_request.inserts.empty() || !inline_request.deletes.empty()) {
-      requests.push_back(std::move(inline_request));
-    }
-    if (requests.empty()) {
-      std::cerr << "--op=apply needs --mutations and/or --insert/--delete\n";
-      return Usage();
-    }
-    for (size_t i = 0; i < requests.size(); ++i) {
-      auto response = client.ApplyMutations(requests[i]);
-      if (!response.ok()) {
-        std::cerr << "batch " << i + 1 << ": " << response.status() << "\n";
-        return 1;
-      }
-      std::printf("applied batch=%zu version=%llu live=%llu "
-                  "overlay=+%llu/-%llu compacting=%u\n",
-                  i + 1,
-                  static_cast<unsigned long long>(response->version),
-                  static_cast<unsigned long long>(response->live_edges),
-                  static_cast<unsigned long long>(response->overlay_inserted),
-                  static_cast<unsigned long long>(response->overlay_deleted),
-                  response->compacting);
-    }
-    return 0;
-  }
+  if (op == "apply") return ClientApply(flags, client);
 
   const auto job_id = static_cast<uint64_t>(flags.GetInt("job_id", 0));
   if (op == "wait") {
-    auto summary = client.Wait(job_id);
-    if (!summary.ok()) {
-      std::cerr << summary.status() << "\n";
-      return 1;
-    }
-    std::printf("job=%llu kept=%llu total_delta=%.6f avg_delta=%.6f "
-                "reduction=%.3fs%s\n",
-                static_cast<unsigned long long>(job_id),
-                static_cast<unsigned long long>(summary->kept_edges),
-                summary->total_delta, summary->average_delta,
-                summary->reduction_seconds,
-                summary->deduplicated ? " (cached)" : "");
-    return 0;
+    EDGESHED_ASSIGN_OR_RETURN(net::ResultSummary summary,
+                              client.Wait(job_id));
+    PrintResult(job_id, summary);
+    return Status::OK();
   }
   if (op == "status") {
-    auto status = client.GetJobStatus(job_id);
-    if (!status.ok()) {
-      std::cerr << status.status() << "\n";
-      return 1;
-    }
-    auto code = net::StatusCodeFromWireCode(status->code);
+    EDGESHED_ASSIGN_OR_RETURN(net::GetStatusResponse status,
+                              client.GetJobStatus(job_id));
+    const std::string_view state = service::JobStateToString(
+        static_cast<service::JobState>(status.state));
+    auto code = net::StatusCodeFromWireCode(status.code);
+    const std::string_view code_name =
+        StatusCodeToString(code.ok() ? *code : StatusCode::kOk);
     std::printf("job=%llu state=%.*s status=%.*s%s%s queue=%.3fs run=%.3fs\n",
                 static_cast<unsigned long long>(job_id),
-                static_cast<int>(
-                    service::JobStateToString(
-                        static_cast<service::JobState>(status->state))
-                        .size()),
-                service::JobStateToString(
-                    static_cast<service::JobState>(status->state))
-                    .data(),
-                static_cast<int>(
-                    StatusCodeToString(code.ok() ? *code : StatusCode::kOk)
-                        .size()),
-                StatusCodeToString(code.ok() ? *code : StatusCode::kOk)
-                    .data(),
-                status->message.empty() ? "" : ": ",
-                status->message.c_str(), status->queue_seconds,
-                status->run_seconds);
-    return 0;
+                static_cast<int>(state.size()), state.data(),
+                static_cast<int>(code_name.size()), code_name.data(),
+                status.message.empty() ? "" : ": ", status.message.c_str(),
+                status.queue_seconds, status.run_seconds);
+    return Status::OK();
   }
   if (op == "cancel") {
-    if (Status cancelled = client.Cancel(job_id); !cancelled.ok()) {
-      std::cerr << cancelled << "\n";
-      return 1;
-    }
+    EDGESHED_RETURN_IF_ERROR(client.Cancel(job_id));
     std::printf("cancelled job=%llu\n",
                 static_cast<unsigned long long>(job_id));
-    return 0;
+    return Status::OK();
   }
-  std::cerr << "unknown --op: " << op << "\n";
-  return Usage();
+  return UsageError("unknown --op: " + op);
 }
 
-int CmdMutate(const eval::Flags& flags) {
-  auto input = LoadInput(flags);
-  if (!input.ok()) {
-    std::cerr << input.status() << "\n";
-    return 1;
-  }
+Status CmdMutate(const eval::Flags& flags) {
+  EDGESHED_ASSIGN_OR_RETURN(graph::LoadedGraph input, LoadInput(flags));
   const std::string mutations_path = flags.GetString("mutations", "");
-  if (mutations_path.empty()) {
-    std::cerr << "--mutations is required\n";
-    return Usage();
+  if (mutations_path.empty()) return UsageError("--mutations is required");
+  const bool reshed = flags.GetBool("reshed", false);
+  const std::string output = flags.GetString("output", "");
+  if (!output.empty() && !reshed) {
+    return UsageError("--output writes the kept edge list; it needs --reshed");
   }
-  auto batches = graph::ParseMutationFile(mutations_path);
-  if (!batches.ok()) {
-    std::cerr << batches.status() << "\n";
-    return 1;
-  }
+  EDGESHED_ASSIGN_OR_RETURN(std::vector<graph::MutationBatch> batches,
+                            graph::ParseMutationFile(mutations_path));
 
   dyn::VersionedGraph::Options graph_options;
   graph_options.compact_ratio = flags.GetDouble("compact_ratio", 0.10);
   graph_options.auto_compact = flags.GetBool("auto_compact", true);
   auto versioned = std::make_shared<dyn::VersionedGraph>(
-      std::move(input->graph), graph_options);
+      std::move(input.graph), graph_options);
 
   std::unique_ptr<dyn::ShedSession> session;
-  if (flags.GetBool("reshed", false)) {
+  if (reshed) {
     dyn::DynamicShedOptions shed_options;
     shed_options.p = flags.GetDouble("p", 0.5);
     shed_options.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
@@ -1071,29 +791,27 @@ int CmdMutate(const eval::Flags& flags) {
   // One parseable line per re-shed; `kept=` is what CI smoke compares
   // against the remote path.
   std::vector<graph::Edge> kept;
-  auto reshed_once = [&](size_t batch_index) -> int {
-    auto result = session->Reshed();
-    if (!result.ok()) {
-      std::cerr << result.status() << "\n";
-      return 1;
-    }
+  auto reshed_once = [&](size_t batch_index) -> Status {
+    if (session == nullptr) return Status::OK();
+    EDGESHED_ASSIGN_OR_RETURN(auto result, session->Reshed());
     std::printf("batch=%zu version=%llu kept=%zu full_rank=%d dirty=%llu "
                 "avg_delta=%.6f reshed=%.3fs\n",
                 batch_index,
-                static_cast<unsigned long long>(result->version),
-                result->kept.size(), result->full_rank ? 1 : 0,
-                static_cast<unsigned long long>(result->dirty_vertices),
-                result->average_delta, result->seconds);
-    kept = std::move(result->kept);
-    return 0;
+                static_cast<unsigned long long>(result.version),
+                result.kept.size(), result.full_rank ? 1 : 0,
+                static_cast<unsigned long long>(result.dirty_vertices),
+                result.average_delta, result.seconds);
+    kept = std::move(result.kept);
+    return Status::OK();
   };
-  if (session != nullptr && reshed_once(0) != 0) return 1;
+  EDGESHED_RETURN_IF_ERROR(reshed_once(0));
 
-  for (size_t i = 0; i < batches->size(); ++i) {
-    auto version = versioned->ApplyBatch(std::move((*batches)[i]));
+  for (size_t i = 0; i < batches.size(); ++i) {
+    auto version = versioned->ApplyBatch(std::move(batches[i]));
     if (!version.ok()) {
-      std::cerr << "batch " << i + 1 << ": " << version.status() << "\n";
-      return 1;
+      return Status(version.status().code(),
+                    StrFormat("batch %zu: %s", i + 1,
+                              version.status().message().c_str()));
     }
     auto snap = versioned->Snapshot();
     std::printf("applied batch=%zu version=%llu live=%s overlay=+%zu/-%zu "
@@ -1102,7 +820,7 @@ int CmdMutate(const eval::Flags& flags) {
                 FormatWithCommas(snap->NumEdges()).c_str(),
                 snap->inserted().size(), snap->deleted_ids().size(),
                 snap->DeltaRatio());
-    if (session != nullptr && reshed_once(i + 1) != 0) return 1;
+    EDGESHED_RETURN_IF_ERROR(reshed_once(i + 1));
   }
   versioned->WaitForCompaction();
   auto snap = versioned->Snapshot();
@@ -1111,71 +829,37 @@ int CmdMutate(const eval::Flags& flags) {
               FormatWithCommas(snap->NumEdges()).c_str(),
               snap->inserted().size(), snap->deleted_ids().size());
 
-  const std::string output = flags.GetString("output", "");
+  // Unlike WriteGraph's callers, --output is the kept set and
+  // --binary_output the mutated graph.
   if (!output.empty()) {
-    if (session == nullptr) {
-      std::cerr << "--output writes the kept edge list; it needs --reshed\n";
-      return Usage();
-    }
-    auto reduced = graph::Graph::FromEdges(
-        static_cast<graph::NodeId>(snap->NumNodes()), kept);
-    if (!reduced.ok()) {
-      std::cerr << reduced.status() << "\n";
-      return 1;
-    }
-    if (Status saved = graph::SaveEdgeList(*reduced, output); !saved.ok()) {
-      std::cerr << saved << "\n";
-      return 1;
-    }
+    EDGESHED_ASSIGN_OR_RETURN(
+        graph::Graph reduced,
+        graph::Graph::FromEdges(static_cast<graph::NodeId>(snap->NumNodes()),
+                                kept));
+    EDGESHED_RETURN_IF_ERROR(graph::SaveEdgeList(reduced, output));
     std::printf("wrote %s\n", output.c_str());
   }
   const std::string binary_output = flags.GetString("binary_output", "");
   if (!binary_output.empty()) {
-    auto materialized = snap->Materialize();
-    if (!materialized.ok()) {
-      std::cerr << materialized.status() << "\n";
-      return 1;
-    }
-    if (Status saved = graph::SaveBinaryGraph(*materialized, binary_output,
-                                              SnapshotOptionsFromFlags(flags));
-        !saved.ok()) {
-      std::cerr << saved << "\n";
-      return 1;
-    }
+    EDGESHED_ASSIGN_OR_RETURN(graph::Graph materialized, snap->Materialize());
+    EDGESHED_RETURN_IF_ERROR(graph::SaveBinaryGraph(
+        materialized, binary_output, SnapshotOptionsFromFlags(flags)));
     std::printf("wrote %s\n", binary_output.c_str());
   }
-  return 0;
+  return Status::OK();
 }
 
-int CmdCoordinate(const eval::Flags& flags) {
-  auto input = LoadInput(flags);
-  if (!input.ok()) {
-    std::cerr << input.status() << "\n";
-    return 1;
-  }
-
-  obs::MetricsRegistry metrics;
-  const int64_t stats_port = flags.GetInt("stats_port", -1);
-  const std::string trace_out = flags.GetString("trace_out", "");
-  std::unique_ptr<obs::Tracer> tracer;
-  if (stats_port >= 0 || !trace_out.empty()) {
-    tracer = std::make_unique<obs::Tracer>();
-  }
+Status CmdCoordinate(const eval::Flags& flags) {
+  EDGESHED_ASSIGN_OR_RETURN(graph::LoadedGraph input, LoadInput(flags));
 
   dist::CoordinatorOptions options;
-  auto workers = dist::ParseWorkerList(flags.GetString("workers", ""));
-  if (!workers.ok()) {
-    std::cerr << workers.status() << "\n";
-    return Usage();
-  }
-  options.workers = *std::move(workers);
-  auto kind = dist::ParsePartitionerKind(flags.GetString("partitioner",
-                                                         "hdrf"));
-  if (!kind.ok()) {
-    std::cerr << kind.status() << "\n";
-    return Usage();
-  }
-  options.partition.kind = *kind;
+  EDGESHED_ASSIGN_OR_RETURN(
+      options.workers,
+      AsUsage(dist::ParseWorkerList(flags.GetString("workers", ""))));
+  EDGESHED_ASSIGN_OR_RETURN(
+      options.partition.kind,
+      AsUsage(dist::ParsePartitionerKind(
+          flags.GetString("partitioner", "hdrf"))));
   options.partition.shards = static_cast<int>(flags.GetInt("shards", 2));
   options.partition.hdrf_lambda = flags.GetDouble("hdrf_lambda", 1.1);
   options.partition.seed =
@@ -1184,10 +868,7 @@ int CmdCoordinate(const eval::Flags& flags) {
   options.p = flags.GetDouble("p", 0.5);
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   options.shard_dir = flags.GetString("shard_dir", "");
-  if (options.shard_dir.empty()) {
-    std::cerr << "--shard_dir is required\n";
-    return Usage();
-  }
+  if (options.shard_dir.empty()) return UsageError("--shard_dir is required");
   options.job_tag = flags.GetString("job_tag", "fleet");
   options.deadline_ms = static_cast<uint64_t>(flags.GetInt("deadline_ms", 0));
   options.poll_interval = std::chrono::milliseconds(flags.GetInt("poll_ms",
@@ -1199,41 +880,13 @@ int CmdCoordinate(const eval::Flags& flags) {
   options.local_fallback = !flags.GetBool("no_fallback", false);
   options.threads = static_cast<int>(flags.GetInt("threads", 0));
 
-  std::unique_ptr<obs::StatsServer> stats_server;
-  if (stats_port >= 0) {
-    obs::StatsServerOptions http_options;
-    http_options.port = static_cast<int>(stats_port);
-    stats_server = std::make_unique<obs::StatsServer>(http_options);
-    stats_server->Handle("/metrics", [&metrics] {
-      return obs::HttpResponse{200, "text/plain; version=0.0.4; charset=utf-8",
-                               obs::PrometheusText(metrics)};
-    });
-    stats_server->Handle("/tracez", [&tracer] {
-      return obs::HttpResponse{200, "application/json; charset=utf-8",
-                               tracer->TraceEventJson()};
-    });
-    stats_server->Handle("/statusz", [&metrics] {
-      return obs::HttpResponse{200, "text/plain; charset=utf-8",
-                               metrics.TextSnapshot()};
-    });
-    if (Status started = stats_server->Start(); !started.ok()) {
-      std::cerr << started << "\n";
-      return 1;
-    }
-    std::printf("stats server on http://127.0.0.1:%d "
-                "(/metrics /tracez /statusz /healthz)\n",
-                stats_server->port());
-    std::fflush(stdout);
-  }
-
-  dist::ShedCoordinator coordinator(options, &metrics, tracer.get());
+  Telemetry telemetry(flags);
+  EDGESHED_RETURN_IF_ERROR(telemetry.StartStatsServer(flags));
+  dist::ShedCoordinator coordinator(options, &telemetry.metrics,
+                                    telemetry.tracer.get());
   Stopwatch watch;
-  auto result = coordinator.Run(input->graph);
-  if (!result.ok()) {
-    std::cerr << result.status() << "\n";
-    if (stats_server != nullptr) stats_server->Stop();
-    return 1;
-  }
+  EDGESHED_ASSIGN_OR_RETURN(dist::DistShedResult result,
+                            coordinator.Run(input.graph));
 
   std::printf("%s x%d over %zu worker(s), method=%s p=%.2f\n",
               std::string(dist::PartitionerKindToString(
@@ -1241,10 +894,10 @@ int CmdCoordinate(const eval::Flags& flags) {
               options.partition.shards, options.workers.size(),
               options.method.c_str(), options.p);
   std::printf("partition: balance=%.4f replication=%.4f cut_vertices=%s\n",
-              result->partition_stats.balance_factor,
-              result->partition_stats.replication_factor,
-              FormatWithCommas(result->partition_stats.cut_vertices).c_str());
-  for (const dist::ShardOutcome& shard : result->shards) {
+              result.partition_stats.balance_factor,
+              result.partition_stats.replication_factor,
+              FormatWithCommas(result.partition_stats.cut_vertices).c_str());
+  for (const dist::ShardOutcome& shard : result.shards) {
     std::printf("shard %d: %-21s edges=%-9s kept=%-9s %.3fs%s%s%s\n",
                 shard.shard, shard.worker.c_str(),
                 FormatWithCommas(shard.shard_edges).c_str(),
@@ -1255,71 +908,187 @@ int CmdCoordinate(const eval::Flags& flags) {
   }
   std::printf("kept %s / %s edges (target %s) in %.3fs "
               "(partition %.3fs snapshot %.3fs shed %.3fs merge %.3fs)\n",
-              FormatWithCommas(result->kept_edges.size()).c_str(),
-              FormatWithCommas(input->graph.NumEdges()).c_str(),
-              FormatWithCommas(result->target_edges).c_str(),
-              watch.ElapsedSeconds(), result->partition_seconds,
-              result->snapshot_seconds, result->shed_seconds,
-              result->merge_seconds);
+              FormatWithCommas(result.kept_edges.size()).c_str(),
+              FormatWithCommas(input.graph.NumEdges()).c_str(),
+              FormatWithCommas(result.target_edges).c_str(),
+              watch.ElapsedSeconds(), result.partition_seconds,
+              result.snapshot_seconds, result.shed_seconds,
+              result.merge_seconds);
 
-  const std::string output = flags.GetString("output", "");
-  const std::string binary_output = flags.GetString("binary_output", "");
-  if (!output.empty() || !binary_output.empty()) {
-    graph::Graph reduced = result->BuildReducedGraph(input->graph);
-    if (!output.empty()) {
-      if (Status saved = graph::SaveEdgeList(reduced, output); !saved.ok()) {
-        std::cerr << saved << "\n";
-        return 1;
-      }
-      std::printf("wrote %s\n", output.c_str());
+  if (flags.Has("output") || flags.Has("binary_output")) {
+    EDGESHED_RETURN_IF_ERROR(
+        WriteGraph(flags, result.BuildReducedGraph(input.graph)));
+  }
+  return telemetry.Finish(flags);
+}
+
+// ---------------------------------------------------------------------------
+// Command table
+
+/// Flag groups several commands share, each read by one helper.
+enum FlagGroup : unsigned {
+  kInput = 1u << 0,           // LoadInput
+  kSnapshotOut = 1u << 1,     // SnapshotOptionsFromFlags
+  kServing = 1u << 2,         // StartServing
+  kBatchTelemetry = 1u << 3,  // Telemetry, including Finish
+};
+constexpr std::string_view kFlagGroups[] = {
+    " --input=G.txt|G.esg [--format=auto|text|snapshot] [--mmap=false]"
+    " [--threads=N]",
+    " [--page_align=4096] [--chunk_kb=1024]",
+    " [--workers=N] [--queue=1024] [--rank_cache_mb=128]"
+    " [--store_budget_mb=256] [--scale=1.0] [--dataset_seed=20210419]",
+    " [--stats_port=P] [--trace_out=trace.json] [--linger_ms=T]",
+};
+
+struct Command {
+  std::string_view name;
+  std::string_view summary;
+  /// The command's own flags; Usage() appends its shared groups.
+  std::string_view flags;
+  unsigned groups;
+  Status (*run)(const eval::Flags&);
+
+  std::string Usage() const {
+    std::string usage(flags);
+    for (size_t i = 0; i < std::size(kFlagGroups); ++i) {
+      if ((groups & (1u << i)) != 0) usage += kFlagGroups[i];
     }
-    if (!binary_output.empty()) {
-      if (Status saved = graph::SaveBinaryGraph(
-              reduced, binary_output, SnapshotOptionsFromFlags(flags));
-          !saved.ok()) {
-        std::cerr << saved << "\n";
-        return 1;
-      }
-      std::printf("wrote %s\n", binary_output.c_str());
+    return usage;
+  }
+};
+
+constexpr Command kCommands[] = {
+    {"generate",
+     "Writes a surrogate of a paper dataset as a text edge list.",
+     "--dataset=grqc|hepph|enron|livejournal [--scale=1.0] "
+     "[--seed=20210419] [--output=G.txt]",
+     0, CmdGenerate},
+    {"convert",
+     "Re-encodes a graph; --external streams text into a snapshot out of core.",
+     "[--output=G.txt] [--binary_output=G.esg] "
+     "[--external --budget_mb=256 [--temp_dir=DIR]]",
+     kInput | kSnapshotOut, CmdConvert},
+    {"reduce",
+     "Sheds a graph down to ratio p and writes the kept graph.",
+     "--method=crr|crr-rank|bm2|random|local-degree|spanning-forest "
+     "--p=0.5 [--seed=42] [--output=R.txt] [--binary_output=R.esg]",
+     kInput | kSnapshotOut, CmdReduce},
+    {"analyze",
+     "Runs analytics tasks on a graph.",
+     "[--tasks=degree,components,clustering,pagerank,distance] [--top=10]",
+     kInput, CmdAnalyze},
+    {"stats", "Prints node, edge, degree and component counts.", "", kInput,
+     CmdStats},
+    {"service",
+     "Runs a batch of jobs ('dataset method p [seed] [deadline_ms]' lines).",
+     "[--jobs=jobs.txt] [--deadline_ms=D] [--retention_jobs=1024] "
+     "[--retention_ms=600000] [--result_cache_mb=64]",
+     kServing | kBatchTelemetry, CmdService},
+    {"serve",
+     "Serves shedding over RPC until SIGINT/SIGTERM or --serve_ms.",
+     "[--port=0] [--public] [--max_connections=64] [--max_inflight=8] "
+     "[--max_pending=N] [--dispatch_threads=4] [--idle_timeout_ms=60000] "
+     "[--degrade] [--tenants=name:weight[:quota],...] "
+     "[--edge_list=name=path,...] [--shard_dir=DIR] [--mmap=false] "
+     "[--stats_port=P] [--serve_ms=T]",
+     kServing, CmdServe},
+    {"client",
+     "Sends one RPC to a running server.",
+     "--port=P [--op=shed|ping|list|wait|status|cancel|apply] "
+     "[--host=127.0.0.1] [--timeout_ms=600000] [--retries=3] "
+     "[--dataset=grqc] [--method=crr] [--p=0.5] [--seed=42] "
+     "[--deadline_ms=T] [--tenant=NAME] [--priority] [--no_wait] "
+     "[--job_id=N] [--mutations=M.txt] [--insert=u:v,...] "
+     "[--delete=u:v,...]",
+     0, CmdClient},
+    {"mutate",
+     "Replays mutations ('+ u v' / '- u v' lines, '---' between batches).",
+     "--mutations=M.txt [--reshed] [--p=0.5] [--seed=42] [--dirty_hops=0] "
+     "[--decay_half_life=0] [--compact_ratio=0.1] [--auto_compact=false] "
+     "[--output=K.txt] [--binary_output=G2.esg]",
+     kInput | kSnapshotOut, CmdMutate},
+    {"coordinate",
+     "Sheds K shards on --workers (or locally), merges to the global budget.",
+     "--shard_dir=DIR [--workers=host:port,...] [--shards=2] "
+     "[--partitioner=hdrf|dbh|hash] [--hdrf_lambda=1.1] "
+     "[--partition_seed=42] [--method=crr] [--p=0.5] [--seed=42] "
+     "[--deadline_ms=T] [--timeout_ms=600000] [--retries=3] [--poll_ms=50] "
+     "[--job_tag=fleet] [--no_fallback] [--output=R.txt] "
+     "[--binary_output=R.esg]",
+     kInput | kSnapshotOut | kBatchTelemetry, CmdCoordinate},
+};
+
+/// Prints the command's summary, then `edgeshed <name> <usage>` wrapped
+/// between flags at 80 columns.
+void PrintUsage(const Command& command) {
+  std::fprintf(stderr, "  %.*s\n", static_cast<int>(command.summary.size()),
+               command.summary.data());
+  const std::string usage = command.Usage();
+  const std::string name = "    edgeshed " + std::string(command.name);
+  std::string line = name;
+  for (std::string_view word : StrSplit(usage, ' ')) {
+    if (word.empty()) continue;
+    if (line.size() + 1 + word.size() > 79 && line != name) {
+      std::fprintf(stderr, "%s\n", line.c_str());
+      line = "       ";
+    }
+    line += ' ';
+    line += word;
+  }
+  std::fprintf(stderr, "%s\n", line.c_str());
+}
+
+/// Rejects flags `command` does not declare (every `--name` token of its
+/// usage line declares one) and arguments after its name.
+Status CheckArguments(const Command& command, const eval::Flags& flags) {
+  const std::string usage = command.Usage();
+  std::set<std::string> declared;
+  for (size_t at = usage.find("--"); at != std::string::npos;
+       at = usage.find("--", at)) {
+    at += 2;
+    declared.insert(usage.substr(at, usage.find_first_of(" =]", at) - at));
+  }
+  for (const std::string& name : flags.Names()) {
+    if (!declared.contains(name)) {
+      return UsageError(StrFormat("unknown flag --%s for %s", name.c_str(),
+                                  std::string(command.name).c_str()));
     }
   }
-
-  if (!trace_out.empty()) {
-    std::ofstream out(trace_out);
-    if (!out) {
-      std::cerr << "cannot write trace file: " << trace_out << "\n";
-      return 1;
-    }
-    out << tracer->TraceEventJson();
-    std::printf("wrote %s (load at chrome://tracing)\n", trace_out.c_str());
+  if (flags.positional().size() > 1) {
+    return UsageError("unexpected argument '" + flags.positional()[1] + "'");
   }
-
-  const int64_t linger_ms = flags.GetInt("linger_ms", 0);
-  if (linger_ms > 0 && stats_server != nullptr) {
-    std::printf("lingering %lld ms for stats scrapes...\n",
-                static_cast<long long>(linger_ms));
-    std::fflush(stdout);
-    std::this_thread::sleep_for(std::chrono::milliseconds(linger_ms));
-  }
-  if (stats_server != nullptr) stats_server->Stop();
-  return 0;
+  return Status::OK();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   eval::Flags flags(argc, argv);
-  if (flags.positional().empty()) return Usage();
-  const std::string& command = flags.positional()[0];
-  if (command == "reduce") return CmdReduce(flags);
-  if (command == "analyze") return CmdAnalyze(flags);
-  if (command == "stats") return CmdStats(flags);
-  if (command == "convert") return CmdConvert(flags);
-  if (command == "generate") return CmdGenerate(flags);
-  if (command == "service") return CmdService(flags);
-  if (command == "serve") return CmdServe(flags);
-  if (command == "client") return CmdClient(flags);
-  if (command == "mutate") return CmdMutate(flags);
-  if (command == "coordinate") return CmdCoordinate(flags);
-  return Usage();
+  const std::string command_name =
+      flags.positional().empty() ? "" : flags.positional()[0];
+  const Command* command = nullptr;
+  for (const Command& candidate : kCommands) {
+    if (candidate.name == command_name) command = &candidate;
+  }
+  if (command == nullptr) {
+    if (!command_name.empty()) {
+      std::fprintf(stderr, "unknown command: %s\n", command_name.c_str());
+    }
+    std::fprintf(stderr, "usage: edgeshed <command> [flags]\n");
+    for (const Command& candidate : kCommands) PrintUsage(candidate);
+    return 2;
+  }
+
+  Status status = CheckArguments(*command, flags);
+  if (status.ok()) status = command->run(flags);
+  if (status.ok()) return 0;
+  if (!IsUsageError(status)) {
+    std::cerr << status << "\n";
+    return 1;
+  }
+  std::fprintf(stderr, "%s\nusage:\n",
+               status.message().substr(kUsageTag.size()).c_str());
+  PrintUsage(*command);
+  return 2;
 }
