@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <unordered_set>
 
@@ -360,6 +361,62 @@ TEST(AdaptiveWaveTest, WaveScheduleIsThreadCountInvariant) {
   auto b = Betweenness(g, many);
   EXPECT_EQ(a.waves, b.waves);
   ExpectBitIdentical(a, b);
+}
+
+
+// ---- Pinned bits ----
+
+/// FNV-1a over the exact bit patterns of every score plus the wave
+/// bookkeeping, so any change to a single accumulation order shows up.
+uint64_t ScoreDigest(const BetweennessScores& scores) {
+  uint64_t hash = 14695981039346656037ull;
+  auto mix = [&hash](uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xff;
+      hash *= 1099511628211ull;
+    }
+  };
+  for (double s : scores.node) mix(std::bit_cast<uint64_t>(s));
+  for (double s : scores.edge) mix(std::bit_cast<uint64_t>(s));
+  mix(scores.sources_processed);
+  mix(scores.waves);
+  return hash;
+}
+
+/// Seeded sampled FastRanking runs whose digests were taken from the
+/// serial per-stripe kernel. `sources` and `wave_size` pick how waves sit
+/// in the 16 source stripes: 256 sources in waves of 8 keep every wave
+/// inside one stripe; 192 sources in waves of 24 straddle stripes. A 0.95
+/// stability target keeps both runs going for six waves.
+struct PinnedRun {
+  uint64_t sources;
+  uint64_t wave_size;
+  double stability;
+  uint64_t digest;
+};
+
+TEST(BetweennessTest, SampledFastRankingBitsArePinned) {
+  Rng rng(49);
+  const graph::Graph g = graph::BarabasiAlbert(6000, 4, rng);
+  for (const PinnedRun& run :
+       {PinnedRun{256, 8, 0.95, 0x4e3e799d1caa9940ull},
+        PinnedRun{192, 24, 0.95, 0xe685aff45c6c1d8full}}) {
+    for (int threads : {1, 2, 3, 4, 8}) {
+      BetweennessOptions options = BetweennessOptions::FastRanking();
+      options.exact_node_threshold = 1;  // force sampling
+      options.sample_sources = run.sources;
+      options.wave_size = run.wave_size;
+      options.wave_stability = run.stability;
+      options.threads = threads;
+      const BetweennessScores scores = Betweenness(g, options);
+      SCOPED_TRACE(::testing::Message()
+                   << run.sources << " sources, waves of " << run.wave_size
+                   << ", " << threads << " threads");
+      EXPECT_EQ(scores.waves, 6u);
+      EXPECT_EQ(ScoreDigest(scores), run.digest)
+          << std::hex << ScoreDigest(scores);
+    }
+  }
 }
 
 }  // namespace
