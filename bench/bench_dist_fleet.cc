@@ -118,7 +118,7 @@ double Overlap(const std::vector<graph::EdgeId>& dist_kept,
 int Main(int argc, char** argv) {
   eval::Flags flags(argc, argv);
   const std::string out = flags.GetString("out", "BENCH_dist.json");
-  const int repeats = static_cast<int>(flags.GetInt("repeats", 3));
+  const int repeats = static_cast<int>(flags.GetInt("repeats", 3).value());
   const bool smoke = flags.GetBool("smoke", false);
   const std::string p_csv = flags.GetString("p", "0.5,0.8");
   std::vector<double> p_values;

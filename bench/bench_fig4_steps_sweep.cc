@@ -14,7 +14,7 @@ using namespace edgeshed;
 int main(int argc, char** argv) {
   eval::Flags flags(argc, argv);
   eval::BenchConfig config = eval::ParseBenchConfig(flags);
-  const double p = flags.GetDouble("p", 0.5);
+  const double p = flags.GetDouble("p", 0.5).value();
   bench::PrintBenchHeader("Fig. 4 — CRR steps sweep (steps = x * P)", config);
 
   struct Target {

@@ -47,7 +47,7 @@ std::map<int64_t, double> MeanByDegreeBucket(
 int main(int argc, char** argv) {
   eval::Flags flags(argc, argv);
   eval::BenchConfig config = eval::ParseBenchConfig(flags);
-  const double p = flags.GetDouble("p", 0.5);
+  const double p = flags.GetDouble("p", 0.5).value();
   bench::PrintBenchHeader("Fig. 8 — betweenness centrality vs vertex degree",
                           config);
   analytics::BetweennessOptions betweenness =

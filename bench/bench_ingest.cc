@@ -194,7 +194,7 @@ void WriteJson(const std::string& path, const std::string& rev, int repeats,
 int Main(int argc, char** argv) {
   eval::Flags flags(argc, argv);
   const std::string out = flags.GetString("out", "BENCH_ingest.json");
-  const int repeats = static_cast<int>(flags.GetInt("repeats", 5));
+  const int repeats = static_cast<int>(flags.GetInt("repeats", 5).value());
   const bool smoke = flags.GetBool("smoke", false);
   const char* rev_env = std::getenv("EDGESHED_GIT_REV");
   const std::string rev =

@@ -375,9 +375,9 @@ void WriteJson(const std::string& path, const std::string& rev, int repeats,
 int Main(int argc, char** argv) {
   eval::Flags flags(argc, argv);
   const std::string out = flags.GetString("out", "BENCH_hotpath.json");
-  const int repeats = static_cast<int>(flags.GetInt("repeats", 5));
+  const int repeats = static_cast<int>(flags.GetInt("repeats", 5).value());
   const bool smoke = flags.GetBool("smoke", false);
-  const double p = flags.GetDouble("p", 0.5);
+  const double p = flags.GetDouble("p", 0.5).value();
   const char* rev_env = std::getenv("EDGESHED_GIT_REV");
   const std::string rev =
       flags.GetString("rev", rev_env != nullptr ? rev_env : "unknown");

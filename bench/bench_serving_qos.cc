@@ -134,10 +134,10 @@ int Main(int argc, char** argv) {
   // wash out the FCFS warmup while the queues first fill; on the full-size
   // graph a CRR job costs ~0.5s of worker time, so 10s ~= 40+ completions.
   const double seconds =
-      static_cast<double>(flags.GetInt("seconds", smoke ? 1 : 10));
-  const int clients = static_cast<int>(flags.GetInt("clients", 4));
+      static_cast<double>(flags.GetInt("seconds", smoke ? 1 : 10).value());
+  const int clients = static_cast<int>(flags.GetInt("clients", 4).value());
   const int latency_jobs =
-      static_cast<int>(flags.GetInt("latency_jobs", smoke ? 20 : 60));
+      static_cast<int>(flags.GetInt("latency_jobs", smoke ? 20 : 60).value());
   const std::string method = flags.GetString("method", "crr");
   const char* rev_env = std::getenv("EDGESHED_GIT_REV");
   const std::string rev =

@@ -14,7 +14,7 @@ using namespace edgeshed;
 int main(int argc, char** argv) {
   eval::Flags flags(argc, argv);
   eval::BenchConfig config = eval::ParseBenchConfig(flags);
-  const double t_percent = flags.GetDouble("t", 10.0);
+  const double t_percent = flags.GetDouble("t", 10.0).value();
   bench::PrintBenchHeader("Tables VIII-IX — utility of Top-10% queries",
                           config);
 

@@ -22,11 +22,11 @@ using namespace edgeshed;
 
 int main(int argc, char** argv) {
   eval::Flags flags(argc, argv);
-  const double p = flags.GetDouble("p", 0.4);
+  const double p = flags.GetDouble("p", 0.4).value();
   const std::string dataset = flags.GetString("dataset", "grqc");
 
   graph::DatasetOptions options;
-  options.scale = flags.GetDouble("scale", 1.0);
+  options.scale = flags.GetDouble("scale", 1.0).value();
   graph::Graph g = graph::MakeDataset(dataset == "hepph"
                                           ? graph::DatasetId::kCaHepPh
                                           : graph::DatasetId::kCaGrQc,

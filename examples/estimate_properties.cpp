@@ -23,11 +23,11 @@ using namespace edgeshed;
 
 int main(int argc, char** argv) {
   eval::Flags flags(argc, argv);
-  const double p = flags.GetDouble("p", 0.5);
+  const double p = flags.GetDouble("p", 0.5).value();
   const std::string method = flags.GetString("method", "bm2");
 
   graph::DatasetOptions options;
-  options.scale = flags.GetDouble("scale", 0.5);
+  options.scale = flags.GetDouble("scale", 0.5).value();
   graph::Graph g = graph::MakeDataset(graph::DatasetId::kCaGrQc, options);
 
   std::unique_ptr<core::EdgeShedder> shedder;

@@ -24,9 +24,9 @@ using namespace edgeshed;
 int main(int argc, char** argv) {
   eval::Flags flags(argc, argv);
   const auto nodes =
-      static_cast<graph::NodeId>(flags.GetInt("nodes", 2000));
-  const double noise_fraction = flags.GetDouble("noise_fraction", 0.3);
-  const double p = flags.GetDouble("p", 0.6);
+      static_cast<graph::NodeId>(flags.GetInt("nodes", 2000).value());
+  const double noise_fraction = flags.GetDouble("noise_fraction", 0.3).value();
+  const double p = flags.GetDouble("p", 0.6).value();
 
   // Ground truth: 8 dense communities, sparse in between.
   Rng rng(2026);

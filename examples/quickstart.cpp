@@ -20,7 +20,7 @@ using namespace edgeshed;
 
 int main(int argc, char** argv) {
   eval::Flags flags(argc, argv);
-  const double p = flags.GetDouble("p", 0.5);
+  const double p = flags.GetDouble("p", 0.5).value();
   const std::string edge_list = flags.GetString("edge_list", "");
 
   // 1. Get a graph: a real SNAP edge list if provided, otherwise the

@@ -36,10 +36,10 @@ double GraphMegabytes(uint64_t nodes, uint64_t edges) {
 
 int main(int argc, char** argv) {
   eval::Flags flags(argc, argv);
-  const double budget_mb = flags.GetDouble("budget_mb", 8.0);
+  const double budget_mb = flags.GetDouble("budget_mb", 8.0).value();
 
   graph::DatasetOptions options;
-  options.scale = flags.GetDouble("dataset_scale", 0.25);
+  options.scale = flags.GetDouble("dataset_scale", 0.25).value();
   graph::Graph g =
       graph::MakeDataset(graph::DatasetId::kEmailEnron, options);
 

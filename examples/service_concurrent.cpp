@@ -27,8 +27,8 @@ using namespace edgeshed;
 
 int main(int argc, char** argv) {
   eval::Flags flags(argc, argv);
-  const int clients = static_cast<int>(flags.GetInt("clients", 4));
-  const double scale = flags.GetDouble("scale", 0.3);
+  const int clients = static_cast<int>(flags.GetInt("clients", 4).value());
+  const double scale = flags.GetDouble("scale", 0.3).value();
 
   obs::MetricsRegistry metrics;
 
@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   // batches below forces LRU evictions and transparent reloads.
   service::GraphStoreOptions store_options;
   store_options.byte_budget =
-      static_cast<uint64_t>(flags.GetInt("budget_kb", 256)) << 10;
+      static_cast<uint64_t>(flags.GetInt("budget_kb", 256).value()) << 10;
   service::GraphStore store(store_options, &metrics);
   graph::DatasetOptions dataset_options;
   dataset_options.scale = scale;
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   }
 
   service::JobSchedulerOptions scheduler_options;
-  scheduler_options.workers = static_cast<int>(flags.GetInt("workers", 2));
+  scheduler_options.workers = static_cast<int>(flags.GetInt("workers", 2).value());
   service::JobScheduler scheduler(&store, &metrics, scheduler_options);
 
   // Every client submits the same sweep — methods x p x two datasets — so

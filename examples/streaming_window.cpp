@@ -22,10 +22,10 @@ using namespace edgeshed;
 
 int main(int argc, char** argv) {
   eval::Flags flags(argc, argv);
-  const double p = flags.GetDouble("p", 0.3);
-  const auto nodes = static_cast<graph::NodeId>(flags.GetInt("nodes", 5000));
+  const double p = flags.GetDouble("p", 0.3).value();
+  const auto nodes = static_cast<graph::NodeId>(flags.GetInt("nodes", 5000).value());
   const auto checkpoints =
-      static_cast<uint64_t>(flags.GetInt("checkpoints", 5));
+      static_cast<uint64_t>(flags.GetInt("checkpoints", 5).value());
 
   // The "stream": edges of a preferential-attachment graph in generation
   // order — old hubs keep acquiring new spokes, as in a growing social

@@ -2,6 +2,7 @@
 #define EDGESHED_ANALYTICS_BETWEENNESS_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -85,13 +86,18 @@ struct BetweennessOptions {
 /// estimate the exact ones; rankings — which is what both CRR and the
 /// paper's Fig. 8 consume — converge quickly.
 ///
-/// Determinism: per-source sweeps accumulate into a fixed number of striped
-/// partials whose layout depends only on the source count, partials are
-/// merged in a fixed order, and the adaptive-wave stop decision is computed
-/// from deterministically merged partials, so scores are bit-identical for
-/// every thread count (DESIGN.md "Parallel hot path", §12). The classic and
-/// hybrid kernels share one canonical accumulation order and are
-/// bit-identical to each other.
+/// Parallelism and determinism: the sources are split into a fixed number
+/// of contiguous stripes whose layout depends only on the source count, each
+/// stripe with its own accumulators, merged per index in stripe order. A
+/// wave that spans at least as many stripes as there are threads sweeps its
+/// stripes in parallel, each in source order. A wave inside fewer stripes —
+/// FastRanking's waves of 8 sit inside one 16-source stripe — sweeps up to
+/// `threads` of its sources at once into private scratch, then folds them
+/// into their stripes in source order: the same additions in the same
+/// order. The adaptive-wave stop decision reads only merged partials, so
+/// scores are bit-identical for every thread count (DESIGN.md "Parallel hot
+/// path", §12). The classic and hybrid kernels share one canonical
+/// accumulation order and are bit-identical to each other.
 struct BetweennessScores {
   std::vector<double> node;  // indexed by NodeId
   std::vector<double> edge;  // indexed by EdgeId
@@ -104,6 +110,16 @@ struct BetweennessScores {
 
 BetweennessScores Betweenness(const graph::Graph& g,
                               const BetweennessOptions& options = {});
+
+/// The adaptive-wave stability check's top-k selection: an m-bit set
+/// (bit e of word e/64) marking the min(k, m) edges that rank first by
+/// (score descending, edge id ascending) — every edge scoring above the
+/// k-th highest score plus the lowest-id ties at it. `scores` must be
+/// non-negative and free of NaN. A parallel radix select over the scores'
+/// bit patterns; the set does not depend on `threads` (0 =
+/// DefaultThreadCount()).
+std::vector<uint64_t> TopKEdgeMask(std::span<const double> scores, uint64_t k,
+                                   int threads = 0);
 
 /// Edge ids of `g` sorted by non-increasing betweenness (ties broken by
 /// edge id for determinism). Convenience for CRR Phase 1.

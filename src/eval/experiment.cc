@@ -4,9 +4,9 @@ namespace edgeshed::eval {
 
 BenchConfig ParseBenchConfig(const Flags& flags) {
   BenchConfig config;
-  config.scale = flags.GetDouble("scale", 1.0);
+  config.scale = flags.GetDouble("scale", 1.0).value();
   config.full = flags.GetBool("full", false);
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 20210419));
+  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 20210419).value());
   config.data_dir = flags.GetString("data_dir", "");
   return config;
 }

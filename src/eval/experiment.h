@@ -26,7 +26,8 @@ struct BenchConfig {
   std::string data_dir;
 };
 
-/// Parses --scale, --full, --seed, --data_dir.
+/// Parses --scale, --full, --seed, --data_dir. A malformed --scale or
+/// --seed is a fatal CHECK failure: the bench binaries have no usage path.
 BenchConfig ParseBenchConfig(const Flags& flags);
 
 /// Per-dataset default scale under `full == false`: the three small

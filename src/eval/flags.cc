@@ -1,12 +1,30 @@
 #include "eval/flags.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 #include <string_view>
 
 namespace edgeshed::eval {
 
-Flags::Flags(int argc, char** argv) {
+namespace {
+
+/// Parses all of `text` as a T; InvalidArgument naming the flag otherwise.
+template <typename T>
+StatusOr<T> ParseWhole(const std::string& name, const std::string& text,
+                       const char* expected) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || ptr != end) {
+    return Status::InvalidArgument("--" + name + " expects " + expected +
+                                   ", got '" + text + "'");
+  }
+  return value;
+}
+
+}  // namespace
+
+Flags::Flags(int argc, char** argv, const std::set<std::string>& booleans) {
   for (int i = 1; i < argc; ++i) {
     std::string_view arg(argv[i]);
     if (!arg.starts_with("--")) {
@@ -18,7 +36,8 @@ Flags::Flags(int argc, char** argv) {
     if (eq != std::string_view::npos) {
       values_[std::string(arg.substr(0, eq))] =
           std::string(arg.substr(eq + 1));
-    } else if (i + 1 < argc && argv[i + 1][0] != '-') {
+    } else if (i + 1 < argc && argv[i + 1][0] != '-' &&
+               !booleans.contains(std::string(arg))) {
       values_[std::string(arg)] = argv[i + 1];
       ++i;
     } else {
@@ -37,14 +56,18 @@ std::string Flags::GetString(const std::string& name,
   return it == values_.end() ? default_value : it->second;
 }
 
-double Flags::GetDouble(const std::string& name, double default_value) const {
+StatusOr<double> Flags::GetDouble(const std::string& name,
+                                  double default_value) const {
   auto it = values_.find(name);
-  return it == values_.end() ? default_value : std::atof(it->second.c_str());
+  if (it == values_.end()) return default_value;
+  return ParseWhole<double>(name, it->second, "a number");
 }
 
-int64_t Flags::GetInt(const std::string& name, int64_t default_value) const {
+StatusOr<int64_t> Flags::GetInt(const std::string& name,
+                                int64_t default_value) const {
   auto it = values_.find(name);
-  return it == values_.end() ? default_value : std::atoll(it->second.c_str());
+  if (it == values_.end()) return default_value;
+  return ParseWhole<int64_t>(name, it->second, "an integer");
 }
 
 bool Flags::GetBool(const std::string& name, bool default_value) const {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <bit>
 #include <numeric>
+#include <random>
+#include <thread>
 #include <unordered_set>
 
 #include "graph/generators/generators.h"
@@ -118,11 +121,13 @@ TEST(BetweennessTest, ThreadCountDoesNotChangeResult) {
   many.threads = 4;
   auto a = Betweenness(g, one);
   auto b = Betweenness(g, many);
+  ASSERT_EQ(a.node.size(), b.node.size());
+  ASSERT_EQ(a.edge.size(), b.edge.size());
   for (size_t i = 0; i < a.node.size(); ++i) {
-    EXPECT_NEAR(a.node[i], b.node[i], 1e-7);
+    ASSERT_EQ(a.node[i], b.node[i]) << "node " << i;
   }
   for (size_t i = 0; i < a.edge.size(); ++i) {
-    EXPECT_NEAR(a.edge[i], b.edge[i], 1e-7);
+    ASSERT_EQ(a.edge[i], b.edge[i]) << "edge " << i;
   }
 }
 
@@ -355,14 +360,142 @@ TEST(AdaptiveWaveTest, WaveScheduleIsThreadCountInvariant) {
   one.wave_size = 24;
   one.wave_stability = 0.9;
   one.threads = 1;
-  BetweennessOptions many = one;
-  many.threads = 4;
-  auto a = Betweenness(g, one);
-  auto b = Betweenness(g, many);
-  EXPECT_EQ(a.waves, b.waves);
-  ExpectBitIdentical(a, b);
+  const BetweennessScores a = Betweenness(g, one);
+  for (int threads : {2, 3, 4, 8}) {
+    BetweennessOptions many = one;
+    many.threads = threads;
+    const BetweennessScores b = Betweenness(g, many);
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    EXPECT_EQ(a.waves, b.waves);
+    ExpectBitIdentical(a, b);
+  }
 }
 
+TEST(AdaptiveWaveTest, WavesSmallerThanTheThreadCountAreBitIdentical) {
+  // Waves of 2 or 3 sources run fewer sweeps at once than there are
+  // threads, and waves of 3 over 4-source stripes straddle stripes.
+  Rng rng(51);
+  const graph::Graph g = graph::BarabasiAlbert(2000, 3, rng);
+  for (uint64_t wave_size : {2u, 3u}) {
+    BetweennessOptions one = BetweennessOptions::FastRanking();
+    one.exact_node_threshold = 1;
+    one.sample_sources = 64;
+    one.wave_size = wave_size;
+    one.wave_stability = 0.97;
+    one.threads = 1;
+    const BetweennessScores a = Betweenness(g, one);
+    EXPECT_GE(a.waves, 3u);
+    for (int threads : {4, 8}) {
+      BetweennessOptions many = one;
+      many.threads = threads;
+      const BetweennessScores b = Betweenness(g, many);
+      SCOPED_TRACE(::testing::Message() << "waves of " << wave_size << ", "
+                                        << threads << " threads");
+      EXPECT_EQ(a.waves, b.waves);
+      ExpectBitIdentical(a, b);
+    }
+  }
+}
+
+TEST(AdaptiveWaveTest, CancelFromAnotherThreadDuringConcurrentWaves) {
+  // 256 sources in waves of 8 at 4 threads take the concurrent path (each
+  // wave sits inside one stripe). A trip from another thread must end the
+  // run within a few sweeps, and the caller sees the tripped token.
+  Rng rng(52);
+  const graph::Graph g = graph::BarabasiAlbert(60000, 4, rng);
+  CancellationToken token;
+  BetweennessOptions options = BetweennessOptions::FastRanking();
+  options.exact_node_threshold = 1;
+  options.wave_stability = 2.0;  // never stops on its own
+  options.threads = 4;
+  options.cancel = &token;
+  std::thread canceller([&token] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    token.Cancel();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  const BetweennessScores scores = Betweenness(g, options);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  canceller.join();
+  EXPECT_TRUE(CancellationRequested(&token));
+  EXPECT_LT(scores.sources_processed, 256u);
+  EXPECT_LT(elapsed, std::chrono::seconds(2));
+}
+
+
+// ---- Top-k selection of the wave stability check ----
+
+/// The selection the stability check made before the radix select:
+/// nth_element by (score desc, id asc), the k winners sorted by id.
+std::vector<graph::EdgeId> TopKEdgeIdsOracle(const std::vector<double>& scores,
+                                             uint64_t k) {
+  std::vector<graph::EdgeId> ids(scores.size());
+  std::iota(ids.begin(), ids.end(), graph::EdgeId{0});
+  k = std::min<uint64_t>(k, ids.size());
+  std::nth_element(ids.begin(), ids.begin() + static_cast<ptrdiff_t>(k),
+                   ids.end(), [&scores](graph::EdgeId a, graph::EdgeId b) {
+                     if (scores[a] != scores[b]) return scores[a] > scores[b];
+                     return a < b;
+                   });
+  ids.resize(k);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+void ExpectMaskMatchesOracle(const std::vector<double>& scores, uint64_t k) {
+  const std::vector<graph::EdgeId> expected = TopKEdgeIdsOracle(scores, k);
+  for (int threads : {1, 4}) {
+    const std::vector<uint64_t> mask = TopKEdgeMask(scores, k, threads);
+    ASSERT_EQ(mask.size(), (scores.size() + 63) / 64);
+    std::vector<graph::EdgeId> got;
+    for (uint64_t e = 0; e < scores.size(); ++e) {
+      if ((mask[e / 64] >> (e % 64)) & 1) got.push_back(e);
+    }
+    for (uint64_t e = scores.size(); e < mask.size() * 64; ++e) {
+      ASSERT_EQ((mask[e / 64] >> (e % 64)) & 1, 0u) << "padding bit " << e;
+    }
+    ASSERT_EQ(got, expected) << "m=" << scores.size() << " k=" << k
+                             << " threads=" << threads;
+  }
+}
+
+TEST(TopKEdgeMaskTest, MatchesNthElementOnRandomScoresWithHeavyTies) {
+  std::mt19937_64 gen(50);
+  for (uint64_t m : {1u, 7u, 63u, 64u, 65u, 1000u, 40000u, 300001u}) {
+    std::vector<double> scores(m);
+    // Few distinct values, so the k-th score has many ties on both sides.
+    for (double& s : scores) s = static_cast<double>(gen() % 5) * 0.25;
+    for (uint64_t k : {uint64_t{1}, m / 3 + 1, m / 2, m - 1, m, m + 5}) {
+      ExpectMaskMatchesOracle(scores, k);
+    }
+    // Distinct continuous scores plus a block of exact zeros.
+    std::uniform_real_distribution<double> unit(0.0, 1e6);
+    for (uint64_t e = 0; e < m; ++e) scores[e] = e % 3 == 0 ? 0.0 : unit(gen);
+    for (uint64_t k : {uint64_t{1}, m / 2, (2 * m) / 3 + 1, m}) {
+      ExpectMaskMatchesOracle(scores, k);
+    }
+  }
+}
+
+TEST(TopKEdgeMaskTest, AllEqualAndAllZeroScoresPickTheLowestIds) {
+  for (double value : {0.0, 3.5}) {
+    for (uint64_t m : {5u, 64u, 130u, 70000u}) {
+      const std::vector<double> scores(m, value);
+      for (uint64_t k : {uint64_t{0}, uint64_t{1}, m / 2, m, 2 * m}) {
+        ExpectMaskMatchesOracle(scores, k);
+      }
+    }
+  }
+}
+
+TEST(TopKEdgeMaskTest, NegativeZeroTiesWithZero) {
+  const std::vector<double> scores = {0.0, -0.0, 1.0, -0.0, 0.0};
+  ExpectMaskMatchesOracle(scores, 3);
+}
+
+TEST(TopKEdgeMaskTest, EmptyScoresGiveAnEmptyMask) {
+  EXPECT_TRUE(TopKEdgeMask({}, 10).empty());
+}
 
 // ---- Pinned bits ----
 

@@ -121,6 +121,34 @@ TEST_F(CliTest, BadEdgePairExitsTwoBeforeAnyRpc) {
       << run.output;
 }
 
+TEST_F(CliTest, MalformedNumberExitsTwoBeforeAnyServer) {
+  // "off" is not a port: it must not read as 0 and start the stats server
+  // on an ephemeral port.
+  const CliRun run = Run("service --stats_port=off --scale=0.05");
+  EXPECT_EQ(run.exit_code, 2) << run.output;
+  EXPECT_NE(run.output.find("--stats_port expects an integer, got 'off'"),
+            std::string::npos)
+      << run.output;
+  EXPECT_EQ(run.output.find("stats server on"), std::string::npos)
+      << run.output;
+}
+
+TEST_F(CliTest, BooleanFlagTakesNoSeparateValue) {
+  // A bare boolean leaves the next word positional, so it is reported as a
+  // stray argument instead of being swallowed as the flag's value.
+  CliRun run = Run("serve --degrade extra --serve_ms=200");
+  EXPECT_EQ(run.exit_code, 2) << run.output;
+  EXPECT_NE(run.output.find("unexpected argument 'extra'"), std::string::npos)
+      << run.output;
+  EXPECT_EQ(run.output.find("rpc server on"), std::string::npos)
+      << run.output;
+  run = Run("serve --degrade=yes --serve_ms=200");
+  EXPECT_EQ(run.exit_code, 2) << run.output;
+  EXPECT_NE(run.output.find("--degrade takes true or false, got 'yes'"),
+            std::string::npos)
+      << run.output;
+}
+
 TEST_F(CliTest, MissingInputFileExitsOne) {
   const CliRun run = Run("stats --input=" + Path("missing.txt"));
   EXPECT_EQ(run.exit_code, 1) << run.output;

@@ -149,17 +149,22 @@ TEST_F(ParallelDeterminismTest, HybridWaveScoresAreBitIdentical) {
 
   SetThreads("1");
   analytics::BetweennessScores serial = analytics::Betweenness(g, options);
-  SetThreads("8");
-  analytics::BetweennessScores parallel = analytics::Betweenness(g, options);
-
-  ASSERT_EQ(serial.waves, parallel.waves);
-  ASSERT_EQ(serial.sources_processed, parallel.sources_processed);
-  ASSERT_EQ(serial.node.size(), parallel.node.size());
-  for (size_t i = 0; i < serial.node.size(); ++i) {
-    ASSERT_EQ(serial.node[i], parallel.node[i]) << "node " << i;
-  }
-  for (size_t i = 0; i < serial.edge.size(); ++i) {
-    ASSERT_EQ(serial.edge[i], parallel.edge[i]) << "edge " << i;
+  // Each wave of 8 spans two of the 16 six-source stripes: at 2 threads the
+  // stripes sweep in parallel, at 3, 4 and 8 the wave's sources sweep
+  // concurrently and are folded into their stripes afterwards.
+  for (const char* threads : {"2", "3", "4", "8"}) {
+    SCOPED_TRACE(threads);
+    SetThreads(threads);
+    analytics::BetweennessScores parallel = analytics::Betweenness(g, options);
+    ASSERT_EQ(serial.waves, parallel.waves);
+    ASSERT_EQ(serial.sources_processed, parallel.sources_processed);
+    ASSERT_EQ(serial.node.size(), parallel.node.size());
+    for (size_t i = 0; i < serial.node.size(); ++i) {
+      ASSERT_EQ(serial.node[i], parallel.node[i]) << "node " << i;
+    }
+    for (size_t i = 0; i < serial.edge.size(); ++i) {
+      ASSERT_EQ(serial.edge[i], parallel.edge[i]) << "edge " << i;
+    }
   }
 }
 

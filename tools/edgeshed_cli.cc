@@ -3,9 +3,10 @@
 // Run `edgeshed` with no arguments for every command's usage. The kCommands
 // table at the bottom of this file is the one declaration of each command:
 // its usage line is both the help text and the set of flags it accepts, so
-// the two cannot drift. main() rejects any other flag or stray argument with
-// exit 2 and the command's usage, exits 1 when a command returns any other
-// error, and 0 on success. README.md ("Command-line tool" and the sections
+// the two cannot drift; a flag it writes bare or as =true|false is a boolean.
+// main() rejects any other flag, a stray argument, a boolean set to anything
+// but true or false, and a malformed number with exit 2 and the command's
+// usage, exits 1 when a command returns any other error, and 0 on success. README.md ("Command-line tool" and the sections
 // after it) walks through every command.
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <set>
 #include <span>
@@ -78,6 +80,17 @@ StatusOr<T> AsUsage(StatusOr<T> parsed) {
   return parsed;
 }
 
+/// Typed reads of a command's flags: the default when the flag is absent,
+/// a usage error when its value is malformed (eval::Flags::GetInt).
+StatusOr<int64_t> IntFlag(const eval::Flags& flags, const char* name,
+                          int64_t default_value) {
+  return AsUsage(flags.GetInt(name, default_value));
+}
+StatusOr<double> DoubleFlag(const eval::Flags& flags, const char* name,
+                            double default_value) {
+  return AsUsage(flags.GetDouble(name, default_value));
+}
+
 /// Shared ingest flags: --input takes a SNAP text edge list or an
 /// "EDGSHED3" snapshot (sniffed by default, pinned by --format), and
 /// --mmap=false copies a snapshot onto the heap instead of serving it
@@ -94,18 +107,23 @@ StatusOr<graph::LoadedGraph> LoadInput(const eval::Flags& flags) {
   }
   graph::IngestOptions options;
   options.mmap = flags.GetBool("mmap", true);
-  options.threads = static_cast<int>(flags.GetInt("threads", 0));
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t threads,
+                            IntFlag(flags, "threads", 0));
+  options.threads = static_cast<int>(threads);
   return graph::LoadGraph(source, options);
 }
 
 /// The snapshot layout CLI output flags select (`--page_align`,
 /// `--chunk_kb`).
-graph::SnapshotOptions SnapshotOptionsFromFlags(const eval::Flags& flags) {
+StatusOr<graph::SnapshotOptions> SnapshotOptionsFromFlags(
+    const eval::Flags& flags) {
   graph::SnapshotOptions options;
-  options.page_align =
-      static_cast<uint64_t>(flags.GetInt("page_align", 4096));
-  options.chunk_bytes =
-      static_cast<uint64_t>(flags.GetInt("chunk_kb", 1024)) * 1024;
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t page_align,
+                            IntFlag(flags, "page_align", 4096));
+  options.page_align = static_cast<uint64_t>(page_align);
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t chunk_kb,
+                            IntFlag(flags, "chunk_kb", 1024));
+  options.chunk_bytes = static_cast<uint64_t>(chunk_kb) * 1024;
   return options;
 }
 
@@ -120,7 +138,8 @@ Status WriteGraph(const eval::Flags& flags, const graph::Graph& g,
   }
   const std::string binary_output = flags.GetString("binary_output", "");
   if (!binary_output.empty()) {
-    graph::SnapshotOptions options = SnapshotOptionsFromFlags(flags);
+    EDGESHED_ASSIGN_OR_RETURN(graph::SnapshotOptions options,
+                              SnapshotOptionsFromFlags(flags));
     options.original_ids = original_ids;
     EDGESHED_RETURN_IF_ERROR(
         graph::SaveBinaryGraph(g, binary_output, options));
@@ -135,9 +154,10 @@ Status WriteGraph(const eval::Flags& flags, const graph::Graph& g,
 /// off). Members are in destruction-safe order: the server reads the rest,
 /// and its handlers hold `this`, so a Telemetry never moves.
 struct Telemetry {
-  explicit Telemetry(const eval::Flags& flags) {
-    if (flags.GetInt("stats_port", -1) >= 0 ||
-        !flags.GetString("trace_out", "").empty()) {
+  /// `stats_port` is the parsed --stats_port.
+  Telemetry(const eval::Flags& flags, int64_t stats_port)
+      : stats_port(stats_port) {
+    if (stats_port >= 0 || !flags.GetString("trace_out", "").empty()) {
       tracer = std::make_unique<obs::Tracer>();
     }
   }
@@ -146,11 +166,10 @@ struct Telemetry {
 
   /// Serves /metrics, /tracez and /statusz (plus /healthz) when the port
   /// is not negative.
-  Status StartStatsServer(const eval::Flags& flags) {
-    const int64_t port = flags.GetInt("stats_port", -1);
-    if (port < 0) return Status::OK();
+  Status StartStatsServer() {
+    if (stats_port < 0) return Status::OK();
     obs::StatsServerOptions options;
-    options.port = static_cast<int>(port);
+    options.port = static_cast<int>(stats_port);
     stats_server = std::make_unique<obs::StatsServer>(options);
     stats_server->Handle("/metrics", [this] {
       return obs::HttpResponse{200, "text/plain; version=0.0.4; charset=utf-8",
@@ -183,7 +202,8 @@ struct Telemetry {
       out << tracer->TraceEventJson();
       std::printf("wrote %s (load at chrome://tracing)\n", trace_out.c_str());
     }
-    const int64_t linger_ms = flags.GetInt("linger_ms", 0);
+    EDGESHED_ASSIGN_OR_RETURN(const int64_t linger_ms,
+                              IntFlag(flags, "linger_ms", 0));
     if (linger_ms > 0 && stats_server != nullptr) {
       std::printf("lingering %lld ms for stats scrapes...\n",
                   static_cast<long long>(linger_ms));
@@ -193,6 +213,7 @@ struct Telemetry {
     return Status::OK();
   }
 
+  int64_t stats_port;
   obs::MetricsRegistry metrics;
   std::unique_ptr<obs::Tracer> tracer;
   std::unique_ptr<obs::StatsServer> stats_server;
@@ -200,14 +221,16 @@ struct Telemetry {
 
 Status CmdReduce(const eval::Flags& flags) {
   EDGESHED_ASSIGN_OR_RETURN(graph::LoadedGraph input, LoadInput(flags));
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t seed, IntFlag(flags, "seed", 42));
   EDGESHED_ASSIGN_OR_RETURN(
       std::unique_ptr<core::EdgeShedder> shedder,
       AsUsage(core::MakeShedderByName(
           flags.GetString("method", "crr"),
-          static_cast<uint64_t>(flags.GetInt("seed", 42)))));
+          static_cast<uint64_t>(seed))));
+  EDGESHED_ASSIGN_OR_RETURN(const double p, DoubleFlag(flags, "p", 0.5));
   EDGESHED_ASSIGN_OR_RETURN(
       core::SheddingResult result,
-      shedder->Reduce(input.graph, flags.GetDouble("p", 0.5)));
+      shedder->Reduce(input.graph, p));
   graph::Graph reduced = result.BuildReducedGraph(input.graph);
   std::printf("%s: kept %s / %s edges in %.3fs (avg delta %.4f)\n",
               shedder->name().c_str(),
@@ -257,8 +280,9 @@ Status CmdAnalyze(const eval::Flags& flags) {
                   task_watch.ElapsedSeconds());
     } else if (task == "pagerank") {
       auto scores = analytics::PageRank(g);
-      const auto top = static_cast<uint64_t>(flags.GetInt("top", 10));
-      auto indices = analytics::TopKIndices(scores, top);
+      EDGESHED_ASSIGN_OR_RETURN(const int64_t top, IntFlag(flags, "top", 10));
+      auto indices =
+          analytics::TopKIndices(scores, static_cast<uint64_t>(top));
       std::printf("[pagerank] top-%llu:",
                   static_cast<unsigned long long>(top));
       for (uint32_t u : indices) std::printf(" %u", u);
@@ -290,11 +314,15 @@ Status CmdConvert(const eval::Flags& flags) {
       return UsageError("--external converts to --binary_output only");
     }
     graph::ExternalBuildOptions options;
-    options.memory_budget_bytes =
-        static_cast<uint64_t>(flags.GetInt("budget_mb", 256)) << 20;
+    EDGESHED_ASSIGN_OR_RETURN(const int64_t budget_mb,
+                              IntFlag(flags, "budget_mb", 256));
+    options.memory_budget_bytes = static_cast<uint64_t>(budget_mb) << 20;
     options.temp_dir = flags.GetString("temp_dir", "");
-    options.snapshot = SnapshotOptionsFromFlags(flags);
-    options.threads = static_cast<int>(flags.GetInt("threads", 0));
+    EDGESHED_ASSIGN_OR_RETURN(options.snapshot,
+                              SnapshotOptionsFromFlags(flags));
+    EDGESHED_ASSIGN_OR_RETURN(const int64_t threads,
+                              IntFlag(flags, "threads", 0));
+    options.threads = static_cast<int>(threads);
     Stopwatch watch;
     EDGESHED_ASSIGN_OR_RETURN(
         graph::ExternalBuildStats stats,
@@ -323,8 +351,12 @@ Status CmdGenerate(const eval::Flags& flags) {
       graph::DatasetId id,
       AsUsage(service::SurrogateDatasetId(flags.GetString("dataset", "grqc"))));
   graph::DatasetOptions options;
-  options.scale = flags.GetDouble("scale", 1.0);
-  options.seed = static_cast<uint64_t>(flags.GetInt("seed", 20210419));
+  EDGESHED_ASSIGN_OR_RETURN(const double scale,
+                            DoubleFlag(flags, "scale", 1.0));
+  options.scale = scale;
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t seed,
+                            IntFlag(flags, "seed", 20210419));
+  options.seed = static_cast<uint64_t>(seed);
   graph::Graph g = graph::MakeDataset(id, options);
   std::printf("generated %s surrogate: %s nodes, %s edges\n",
               graph::GetDatasetSpec(id).name.c_str(),
@@ -370,20 +402,28 @@ StatusOr<ServingStack> StartServing(const eval::Flags& flags,
                                     service::JobScheduler::Options options) {
   ServingStack stack;
   service::GraphStore::Options store_options;
-  store_options.byte_budget =
-      static_cast<uint64_t>(flags.GetInt("store_budget_mb", 256)) << 20;
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t store_budget_mb,
+                            IntFlag(flags, "store_budget_mb", 256));
+  store_options.byte_budget = static_cast<uint64_t>(store_budget_mb) << 20;
   stack.store = std::make_unique<service::GraphStore>(
       store_options, &telemetry.metrics, telemetry.tracer.get());
   graph::DatasetOptions dataset_options;
-  dataset_options.scale = flags.GetDouble("scale", 1.0);
-  dataset_options.seed =
-      static_cast<uint64_t>(flags.GetInt("dataset_seed", 20210419));
+  EDGESHED_ASSIGN_OR_RETURN(const double scale,
+                            DoubleFlag(flags, "scale", 1.0));
+  dataset_options.scale = scale;
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t dataset_seed,
+                            IntFlag(flags, "dataset_seed", 20210419));
+  dataset_options.seed = static_cast<uint64_t>(dataset_seed);
   EDGESHED_RETURN_IF_ERROR(
       service::RegisterSurrogateDatasets(*stack.store, dataset_options));
-  options.workers = static_cast<int>(flags.GetInt("workers", 0));
-  options.queue_capacity = static_cast<size_t>(flags.GetInt("queue", 1024));
-  options.rank_cache_byte_budget =
-      static_cast<uint64_t>(flags.GetInt("rank_cache_mb", 128)) << 20;
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t workers,
+                            IntFlag(flags, "workers", 0));
+  options.workers = static_cast<int>(workers);
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t queue, IntFlag(flags, "queue", 1024));
+  options.queue_capacity = static_cast<size_t>(queue);
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t rank_cache_mb,
+                            IntFlag(flags, "rank_cache_mb", 128));
+  options.rank_cache_byte_budget = static_cast<uint64_t>(rank_cache_mb) << 20;
   stack.scheduler = std::make_unique<service::JobScheduler>(
       stack.store.get(), &telemetry.metrics, options, telemetry.tracer.get());
   return stack;
@@ -393,8 +433,10 @@ Status CmdService(const eval::Flags& flags) {
   // --deadline_ms applies to every spec that does not set its own deadline
   // in the jobs file; 0 leaves those specs deadline-free.
   service::JobSpec defaults;
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t deadline_ms,
+                            IntFlag(flags, "deadline_ms", 0));
   defaults.deadline = std::chrono::milliseconds(
-      std::max<int64_t>(0, flags.GetInt("deadline_ms", 0)));
+      std::max<int64_t>(0, deadline_ms));
   std::vector<service::JobSpec> specs;
   const std::string jobs_path = flags.GetString("jobs", "");
   if (!jobs_path.empty()) {
@@ -426,16 +468,24 @@ Status CmdService(const eval::Flags& flags) {
   // Never below the batch size: this driver submits everything up front and
   // collects results afterwards, so a smaller retention would GC records
   // before their Wait and report phantom failures.
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t retention_jobs,
+                            IntFlag(flags, "retention_jobs", 1024));
   options.max_retained_jobs = std::max(
-      specs.size(), static_cast<size_t>(flags.GetInt("retention_jobs", 1024)));
+      specs.size(), static_cast<size_t>(retention_jobs));
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t retention_ms,
+                            IntFlag(flags, "retention_ms", 600000));
   options.job_retention =
-      std::chrono::milliseconds(flags.GetInt("retention_ms", 600000));
+      std::chrono::milliseconds(retention_ms);
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t result_cache_mb,
+                            IntFlag(flags, "result_cache_mb", 64));
   options.result_cache_byte_budget =
-      static_cast<uint64_t>(flags.GetInt("result_cache_mb", 64)) << 20;
-  Telemetry telemetry(flags);
+      static_cast<uint64_t>(result_cache_mb) << 20;
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t stats_port,
+                            IntFlag(flags, "stats_port", -1));
+  Telemetry telemetry(flags, stats_port);
   EDGESHED_ASSIGN_OR_RETURN(ServingStack stack,
                             StartServing(flags, telemetry, options));
-  EDGESHED_RETURN_IF_ERROR(telemetry.StartStatsServer(flags));
+  EDGESHED_RETURN_IF_ERROR(telemetry.StartStatsServer());
   service::JobScheduler& scheduler = *stack.scheduler;
 
   Stopwatch watch;
@@ -535,7 +585,11 @@ Status CmdServe(const eval::Flags& flags) {
   EDGESHED_RETURN_IF_ERROR(
       ParseTenantsFlag(flags.GetString("tenants", ""), &options.tenants));
   options.degrade.enabled = flags.GetBool("degrade", false);
-  Telemetry telemetry(flags);
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t serve_ms,
+                            IntFlag(flags, "serve_ms", 0));
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t stats_port,
+                            IntFlag(flags, "stats_port", -1));
+  Telemetry telemetry(flags, stats_port);
   EDGESHED_ASSIGN_OR_RETURN(ServingStack stack,
                             StartServing(flags, telemetry, options));
   EDGESHED_RETURN_IF_ERROR(
@@ -549,19 +603,26 @@ Status CmdServe(const eval::Flags& flags) {
   }
 
   net::RpcServerOptions server_options;
-  server_options.port = static_cast<int>(flags.GetInt("port", 0));
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t port, IntFlag(flags, "port", 0));
+  server_options.port = static_cast<int>(port);
   server_options.loopback_only = !flags.GetBool("public", false);
-  server_options.max_connections =
-      static_cast<size_t>(flags.GetInt("max_connections", 64));
-  server_options.max_inflight =
-      static_cast<size_t>(flags.GetInt("max_inflight", 8));
-  server_options.dispatch_threads =
-      static_cast<int>(flags.GetInt("dispatch_threads", 4));
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t max_connections,
+                            IntFlag(flags, "max_connections", 64));
+  server_options.max_connections = static_cast<size_t>(max_connections);
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t max_inflight,
+                            IntFlag(flags, "max_inflight", 8));
+  server_options.max_inflight = static_cast<size_t>(max_inflight);
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t dispatch_threads,
+                            IntFlag(flags, "dispatch_threads", 4));
+  server_options.dispatch_threads = static_cast<int>(dispatch_threads);
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t idle_timeout_ms,
+                            IntFlag(flags, "idle_timeout_ms", 60000));
   server_options.idle_timeout =
-      std::chrono::milliseconds(flags.GetInt("idle_timeout_ms", 60000));
+      std::chrono::milliseconds(idle_timeout_ms);
   server_options.degrade_enabled = options.degrade.enabled;
-  server_options.max_pending =
-      static_cast<size_t>(flags.GetInt("max_pending", 0));
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t max_pending,
+                            IntFlag(flags, "max_pending", 0));
+  server_options.max_pending = static_cast<size_t>(max_pending);
   server_options.output_dir = shard_dir;
   net::RpcServer server(stack.store.get(), stack.scheduler.get(),
                         &telemetry.metrics, server_options,
@@ -571,13 +632,12 @@ Status CmdServe(const eval::Flags& flags) {
               server_options.loopback_only ? "127.0.0.1" : "0.0.0.0",
               server.port(), server_options.max_connections,
               server_options.max_inflight);
-  EDGESHED_RETURN_IF_ERROR(telemetry.StartStatsServer(flags));
+  EDGESHED_RETURN_IF_ERROR(telemetry.StartStatsServer());
   std::fflush(stdout);
 
   // Serve until a stop signal (or --serve_ms for bounded runs in scripts).
   std::signal(SIGINT, HandleStopSignal);
   std::signal(SIGTERM, HandleStopSignal);
-  const int64_t serve_ms = flags.GetInt("serve_ms", 0);
   const auto started_at = std::chrono::steady_clock::now();
   while (!g_signal_stop.load()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -684,11 +744,16 @@ void PrintResult(uint64_t job_id, const net::ResultSummary& r) {
 Status CmdClient(const eval::Flags& flags) {
   net::RpcClientOptions options;
   options.host = flags.GetString("host", "127.0.0.1");
-  options.port = static_cast<int>(flags.GetInt("port", 0));
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t port, IntFlag(flags, "port", 0));
+  options.port = static_cast<int>(port);
   if (options.port <= 0) return UsageError("--port is required");
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t timeout_ms,
+                            IntFlag(flags, "timeout_ms", 600000));
   options.recv_timeout =
-      std::chrono::milliseconds(flags.GetInt("timeout_ms", 600000));
-  options.max_attempts = static_cast<int>(flags.GetInt("retries", 3)) + 1;
+      std::chrono::milliseconds(timeout_ms);
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t retries,
+                            IntFlag(flags, "retries", 3));
+  options.max_attempts = static_cast<int>(retries) + 1;
   net::RpcClient client(options);
 
   const std::string op = flags.GetString("op", "shed");
@@ -707,10 +772,13 @@ Status CmdClient(const eval::Flags& flags) {
     net::ShedRequest request;
     request.dataset = flags.GetString("dataset", "grqc");
     request.method = flags.GetString("method", "crr");
-    request.p = flags.GetDouble("p", 0.5);
-    request.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-    request.deadline_ms =
-        static_cast<uint64_t>(flags.GetInt("deadline_ms", 0));
+    EDGESHED_ASSIGN_OR_RETURN(const double p, DoubleFlag(flags, "p", 0.5));
+    request.p = p;
+    EDGESHED_ASSIGN_OR_RETURN(const int64_t seed, IntFlag(flags, "seed", 42));
+    request.seed = static_cast<uint64_t>(seed);
+    EDGESHED_ASSIGN_OR_RETURN(const int64_t deadline_ms,
+                              IntFlag(flags, "deadline_ms", 0));
+    request.deadline_ms = static_cast<uint64_t>(deadline_ms);
     request.wait = !flags.GetBool("no_wait", false);
     request.tenant = flags.GetString("tenant", "");
     request.priority = flags.GetBool("priority", false) ? 1 : 0;
@@ -726,7 +794,9 @@ Status CmdClient(const eval::Flags& flags) {
   }
   if (op == "apply") return ClientApply(flags, client);
 
-  const auto job_id = static_cast<uint64_t>(flags.GetInt("job_id", 0));
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t job_flag,
+                            IntFlag(flags, "job_id", 0));
+  const auto job_id = static_cast<uint64_t>(job_flag);
   if (op == "wait") {
     EDGESHED_ASSIGN_OR_RETURN(net::ResultSummary summary,
                               client.Wait(job_id));
@@ -771,7 +841,9 @@ Status CmdMutate(const eval::Flags& flags) {
                             graph::ParseMutationFile(mutations_path));
 
   dyn::VersionedGraph::Options graph_options;
-  graph_options.compact_ratio = flags.GetDouble("compact_ratio", 0.10);
+  EDGESHED_ASSIGN_OR_RETURN(const double compact_ratio,
+                            DoubleFlag(flags, "compact_ratio", 0.10));
+  graph_options.compact_ratio = compact_ratio;
   graph_options.auto_compact = flags.GetBool("auto_compact", true);
   auto versioned = std::make_shared<dyn::VersionedGraph>(
       std::move(input.graph), graph_options);
@@ -779,12 +851,19 @@ Status CmdMutate(const eval::Flags& flags) {
   std::unique_ptr<dyn::ShedSession> session;
   if (reshed) {
     dyn::DynamicShedOptions shed_options;
-    shed_options.p = flags.GetDouble("p", 0.5);
-    shed_options.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-    shed_options.dirty_hops =
-        static_cast<uint32_t>(flags.GetInt("dirty_hops", 0));
-    shed_options.decay_half_life = flags.GetDouble("decay_half_life", 0.0);
-    shed_options.threads = static_cast<int>(flags.GetInt("threads", 0));
+    EDGESHED_ASSIGN_OR_RETURN(const double p, DoubleFlag(flags, "p", 0.5));
+    shed_options.p = p;
+    EDGESHED_ASSIGN_OR_RETURN(const int64_t seed, IntFlag(flags, "seed", 42));
+    shed_options.seed = static_cast<uint64_t>(seed);
+    EDGESHED_ASSIGN_OR_RETURN(const int64_t dirty_hops,
+                              IntFlag(flags, "dirty_hops", 0));
+    shed_options.dirty_hops = static_cast<uint32_t>(dirty_hops);
+    EDGESHED_ASSIGN_OR_RETURN(const double decay_half_life,
+                              DoubleFlag(flags, "decay_half_life", 0.0));
+    shed_options.decay_half_life = decay_half_life;
+    EDGESHED_ASSIGN_OR_RETURN(const int64_t threads,
+                              IntFlag(flags, "threads", 0));
+    shed_options.threads = static_cast<int>(threads);
     session = std::make_unique<dyn::ShedSession>(versioned, shed_options);
   }
 
@@ -841,9 +920,11 @@ Status CmdMutate(const eval::Flags& flags) {
   }
   const std::string binary_output = flags.GetString("binary_output", "");
   if (!binary_output.empty()) {
+    EDGESHED_ASSIGN_OR_RETURN(graph::SnapshotOptions options,
+                              SnapshotOptionsFromFlags(flags));
     EDGESHED_ASSIGN_OR_RETURN(graph::Graph materialized, snap->Materialize());
-    EDGESHED_RETURN_IF_ERROR(graph::SaveBinaryGraph(
-        materialized, binary_output, SnapshotOptionsFromFlags(flags)));
+    EDGESHED_RETURN_IF_ERROR(
+        graph::SaveBinaryGraph(materialized, binary_output, options));
     std::printf("wrote %s\n", binary_output.c_str());
   }
   return Status::OK();
@@ -860,28 +941,44 @@ Status CmdCoordinate(const eval::Flags& flags) {
       options.partition.kind,
       AsUsage(dist::ParsePartitionerKind(
           flags.GetString("partitioner", "hdrf"))));
-  options.partition.shards = static_cast<int>(flags.GetInt("shards", 2));
-  options.partition.hdrf_lambda = flags.GetDouble("hdrf_lambda", 1.1);
-  options.partition.seed =
-      static_cast<uint64_t>(flags.GetInt("partition_seed", 42));
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t shards, IntFlag(flags, "shards", 2));
+  options.partition.shards = static_cast<int>(shards);
+  EDGESHED_ASSIGN_OR_RETURN(const double hdrf_lambda,
+                            DoubleFlag(flags, "hdrf_lambda", 1.1));
+  options.partition.hdrf_lambda = hdrf_lambda;
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t partition_seed,
+                            IntFlag(flags, "partition_seed", 42));
+  options.partition.seed = static_cast<uint64_t>(partition_seed);
   options.method = flags.GetString("method", "crr");
-  options.p = flags.GetDouble("p", 0.5);
-  options.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  EDGESHED_ASSIGN_OR_RETURN(const double p, DoubleFlag(flags, "p", 0.5));
+  options.p = p;
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t seed, IntFlag(flags, "seed", 42));
+  options.seed = static_cast<uint64_t>(seed);
   options.shard_dir = flags.GetString("shard_dir", "");
   if (options.shard_dir.empty()) return UsageError("--shard_dir is required");
   options.job_tag = flags.GetString("job_tag", "fleet");
-  options.deadline_ms = static_cast<uint64_t>(flags.GetInt("deadline_ms", 0));
-  options.poll_interval = std::chrono::milliseconds(flags.GetInt("poll_ms",
-                                                                 50));
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t deadline_ms,
+                            IntFlag(flags, "deadline_ms", 0));
+  options.deadline_ms = static_cast<uint64_t>(deadline_ms);
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t poll_ms,
+                            IntFlag(flags, "poll_ms", 50));
+  options.poll_interval = std::chrono::milliseconds(poll_ms);
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t timeout_ms,
+                            IntFlag(flags, "timeout_ms", 600000));
   options.client.recv_timeout =
-      std::chrono::milliseconds(flags.GetInt("timeout_ms", 600000));
-  options.client.max_attempts =
-      static_cast<int>(flags.GetInt("retries", 3)) + 1;
+      std::chrono::milliseconds(timeout_ms);
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t retries,
+                            IntFlag(flags, "retries", 3));
+  options.client.max_attempts = static_cast<int>(retries) + 1;
   options.local_fallback = !flags.GetBool("no_fallback", false);
-  options.threads = static_cast<int>(flags.GetInt("threads", 0));
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t threads,
+                            IntFlag(flags, "threads", 0));
+  options.threads = static_cast<int>(threads);
 
-  Telemetry telemetry(flags);
-  EDGESHED_RETURN_IF_ERROR(telemetry.StartStatsServer(flags));
+  EDGESHED_ASSIGN_OR_RETURN(const int64_t stats_port,
+                            IntFlag(flags, "stats_port", -1));
+  Telemetry telemetry(flags, stats_port);
+  EDGESHED_RETURN_IF_ERROR(telemetry.StartStatsServer());
   dist::ShedCoordinator coordinator(options, &telemetry.metrics,
                                     telemetry.tracer.get());
   Stopwatch watch;
@@ -1039,24 +1136,46 @@ void PrintUsage(const Command& command) {
   std::fprintf(stderr, "%s\n", line.c_str());
 }
 
-/// Rejects flags `command` does not declare (every `--name` token of its
-/// usage line declares one) and arguments after its name.
-Status CheckArguments(const Command& command, const eval::Flags& flags) {
+/// Every flag `command` declares (each `--name` token of its usage line),
+/// mapped to whether it is a boolean: one written bare (`[--degrade]`) or
+/// with a true/false value (`[--mmap=false]`).
+std::map<std::string, bool> DeclaredFlags(const Command& command) {
   const std::string usage = command.Usage();
-  std::set<std::string> declared;
+  std::map<std::string, bool> declared;
   for (size_t at = usage.find("--"); at != std::string::npos;
        at = usage.find("--", at)) {
     at += 2;
-    declared.insert(usage.substr(at, usage.find_first_of(" =]", at) - at));
+    const size_t end = usage.find_first_of(" =]", at);
+    bool boolean = end == std::string::npos || usage[end] != '=';
+    if (!boolean) {
+      const std::string value =
+          usage.substr(end + 1, usage.find_first_of(" ]", end) - end - 1);
+      boolean = value == "true" || value == "false";
+    }
+    declared[usage.substr(at, end - at)] = boolean;
   }
+  return declared;
+}
+
+/// Rejects flags `command` does not declare, arguments after its name, and
+/// booleans set to anything but true or false.
+Status CheckArguments(const Command& command,
+                      const std::map<std::string, bool>& declared,
+                      const eval::Flags& flags) {
   for (const std::string& name : flags.Names()) {
-    if (!declared.contains(name)) {
+    const auto it = declared.find(name);
+    if (it == declared.end()) {
       return UsageError(StrFormat("unknown flag --%s for %s", name.c_str(),
                                   std::string(command.name).c_str()));
     }
+    const std::string value = flags.GetString(name, "");
+    if (it->second && value != "true" && value != "false") {
+      return UsageError(StrFormat("--%s takes true or false, got '%s'",
+                                  name.c_str(), value.c_str()));
+    }
   }
-  if (flags.positional().size() > 1) {
-    return UsageError("unexpected argument '" + flags.positional()[1] + "'");
+  if (!flags.positional().empty()) {
+    return UsageError("unexpected argument '" + flags.positional()[0] + "'");
   }
   return Status::OK();
 }
@@ -1064,9 +1183,7 @@ Status CheckArguments(const Command& command, const eval::Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  eval::Flags flags(argc, argv);
-  const std::string command_name =
-      flags.positional().empty() ? "" : flags.positional()[0];
+  const std::string command_name = argc > 1 ? argv[1] : "";
   const Command* command = nullptr;
   for (const Command& candidate : kCommands) {
     if (candidate.name == command_name) command = &candidate;
@@ -1080,7 +1197,16 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  Status status = CheckArguments(*command, flags);
+  // Booleans never take the next argument as their value, so a stray word
+  // after one is reported rather than swallowed. The command name stands
+  // where Flags expects the program name.
+  const std::map<std::string, bool> declared = DeclaredFlags(*command);
+  std::set<std::string> booleans;
+  for (const auto& [name, boolean] : declared) {
+    if (boolean) booleans.insert(name);
+  }
+  const eval::Flags flags(argc - 1, argv + 1, booleans);
+  Status status = CheckArguments(*command, declared, flags);
   if (status.ok()) status = command->run(flags);
   if (status.ok()) return 0;
   if (!IsUsageError(status)) {
